@@ -16,7 +16,9 @@
 
 pub mod fleet;
 
-use dchm_bytecode::{CmpOp, ElemKind, MethodSig, Program, ProgramBuilder, Ty, Value};
+use dchm_bytecode::{
+    ClassId, CmpOp, ElemKind, FieldId, MethodId, MethodSig, Program, ProgramBuilder, Ty, Value,
+};
 use dchm_core::pipeline::{prepare, PipelineConfig, Prepared};
 use dchm_core::{HotState, MutableClass, MutationEngine, MutationPlan, OlcReport};
 use dchm_vm::{Vm, VmConfig};
@@ -310,6 +312,90 @@ pub fn storm_config() -> VmConfig {
     }
 }
 
+/// The deopt scenario: `go` stores its own state field while its specialized
+/// frame is live, with `t = v*3` computed before the store and used after it.
+///
+/// ```text
+/// class Acct { int s; static Acct KEEP;
+///   Acct(int k){ s = k; }
+///   void go(int v){ int t = v*3; s = v; sink(s + t); } }
+/// main: o = new Acct(7); KEEP = o; o.go(5); o.go(9);
+/// ```
+///
+/// Returns `(program, Acct, s, KEEP, go)`.
+pub fn acct_program() -> (Program, ClassId, FieldId, FieldId, MethodId) {
+    let mut pb = ProgramBuilder::new();
+    let acct = pb.class("Acct").build();
+    let s = pb.instance_field(acct, "s", Ty::Int);
+    let keep = pb.static_field(acct, "KEEP", Ty::Ref(acct), Value::Null);
+
+    let mut m = pb.ctor(acct, vec![Ty::Int]);
+    let this = m.this();
+    let k = m.param(0);
+    m.put_field(this, s, k);
+    m.ret(None);
+    m.build();
+
+    let mut m = pb.method(acct, "go", MethodSig::new(vec![Ty::Int], None));
+    let this = m.this();
+    let v = m.param(0);
+    let three = m.imm(3);
+    let t = m.reg();
+    m.imul(t, v, three);
+    m.put_field(this, s, v);
+    let r = m.reg();
+    m.get_field(r, this, s);
+    let u = m.reg();
+    m.iadd(u, r, t);
+    m.sink_int(u);
+    m.ret(None);
+    let go = m.build();
+
+    let mut m = pb.static_method(acct, "main", MethodSig::void());
+    let o = m.reg();
+    let seven = m.imm(7);
+    m.new_init(o, acct, vec![seven]);
+    m.put_static(keep, o);
+    let five = m.imm(5);
+    m.call_virtual(None, o, "go", vec![five]);
+    let nine = m.imm(9);
+    m.call_virtual(None, o, "go", vec![nine]);
+    m.ret(None);
+    let main = m.build();
+    pb.set_entry(main);
+    (pb.finish().unwrap(), acct, s, keep, go)
+}
+
+/// A plan binding `s == 7` as the single hot state of `Acct`. With
+/// `hot_states: false` the same classes/fields are declared (identical
+/// instrumentation) but nothing is ever specialized.
+pub fn acct_plan(acct: ClassId, s: FieldId, go: MethodId, hot_states: bool, emit_guards: bool) -> MutationPlan {
+    MutationPlan {
+        classes: vec![MutableClass {
+            class: acct,
+            instance_state_fields: vec![s],
+            static_state_fields: vec![],
+            hot_states: if hot_states {
+                vec![HotState {
+                    instance_values: vec![(s, Value::Int(7))],
+                    static_values: vec![],
+                    frequency: 1.0,
+                }]
+            } else {
+                vec![]
+            },
+            mutable_methods: vec![go],
+            field_scores: vec![],
+        }],
+        // Specialize at opt0 so the special body is op-for-op the baseline
+        // plus guards plus state-field folds — the exec clocks then compare
+        // exactly (no inlining reshapes the prefix).
+        mutation_level: 0,
+        k: 0,
+        emit_guards,
+    }
+}
+
 /// Renders the tail of a traced run's event stream — the post-mortem
 /// attached to differential mismatches.
 pub fn trace_tail(vm: &Vm, n: usize) -> String {
@@ -326,10 +412,16 @@ pub fn trace_tail(vm: &Vm, n: usize) -> String {
     out
 }
 
-/// Dumps the traced event tail, the heap & state census and the top
-/// profile cells to stderr, then panics with `msg`.
+/// Dumps the traced event tail, the lowered code of the frame a trap left
+/// behind (if any), the heap & state census and the top profile cells to
+/// stderr, then panics with `msg`.
 pub fn fail_with_trace(vm: &Vm, msg: String) -> ! {
     eprint!("{}", trace_tail(vm, 50));
+    if let Some(fr) = vm.state.frames.last() {
+        let name = vm.state.method_display_name(fr.method);
+        eprintln!("top frame: {name} ({:?}) at pc {}", fr.cid, fr.pc);
+        eprint!("{}", vm.state.compiled(fr.cid).lin);
+    }
     eprintln!("{}", vm.state.census());
     if vm.state.profiler.enabled() {
         eprintln!("{}", vm.profile());

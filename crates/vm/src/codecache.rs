@@ -242,8 +242,9 @@ impl CodeCache {
 pub struct SharedArtifact {
     /// The compiled function body.
     pub func: std::sync::Arc<dchm_ir::Function>,
-    /// Dispatch/cost metadata derived from `func`.
-    pub meta: std::sync::Arc<crate::state::CodeMeta>,
+    /// The executable form lowered from `func` — once per artifact, not
+    /// once per adopting tenant.
+    pub lin: std::sync::Arc<crate::linear::LinearCode>,
     /// Modeled machine-code size in bytes.
     pub size_bytes: usize,
     /// Modeled cycles the compilation costs (re-billed per adopting shard).
@@ -533,7 +534,6 @@ mod tests {
 
     // ---------------------------------------------------------------- shared
 
-    use crate::state::CodeMeta;
     use std::sync::Arc;
 
     fn artifact(cycles: u64) -> SharedArtifact {
@@ -542,10 +542,11 @@ mod tests {
             num_regs: 0,
             arg_count: 0,
         });
-        let meta = Arc::new(CodeMeta::build(&func));
+        let program = dchm_bytecode::ProgramBuilder::new().finish().unwrap();
+        let lin = Arc::new(crate::linear::lower(&func, &program, &[]));
         SharedArtifact {
             func,
-            meta,
+            lin,
             size_bytes: 16,
             compile_cycles: cycles,
             deopt: None,
@@ -588,7 +589,7 @@ mod tests {
         assert!(c.probe(1, 7, 2, 9).is_none(), "entry churned out");
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(adopted.compile_cycles, 500);
-        assert_eq!(adopted.meta.num_sites, 0);
+        assert!(adopted.lin.calls.is_empty());
         assert!(Arc::strong_count(&adopted.func) >= 1);
     }
 

@@ -1,39 +1,33 @@
-//! The evaluator: executes compiled IR with deterministic cycle accounting,
-//! TIB-based dispatch, adaptive sampling, and delivery of mutation patch
-//! points to the [`MutationHandler`].
+//! The evaluator: executes lowered code ([`crate::linear`]) with
+//! deterministic cycle accounting, TIB-based dispatch, adaptive sampling,
+//! and delivery of mutation patch points to the [`MutationHandler`].
 //!
 //! # Fast-path structure
 //!
-//! The hot loop runs on a *local execution cursor* — `(func, method, cid,
-//! base, block, op)` held in locals rather than re-read from
-//! `frames.last()` per op — and writes the cursor back to the frame only at
-//! call boundaries, traps and fuel exhaustion. Registers live in the pooled
+//! The hot loop fetches fixed-size pre-decoded instructions by a *local
+//! pc* — `(code, method, cid, base, pc)` held in locals rather than re-read
+//! from `frames.last()` per op — and parks the pc in the frame only at call
+//! boundaries, traps and fuel exhaustion. Registers live in the pooled
 //! [`VmState::reg_stack`] (each frame owns a contiguous window), so a call
-//! extends the pool instead of allocating a fresh `Vec`. All ops dispatch
-//! through a single `match` in the loop body (no second dispatch through a
-//! helper). Cycle and op charges accumulate per basic block and flush
-//! before every point that observes the clock (terminators/`maybe_sample`,
-//! call dispatch, traps), keeping the *modeled* cycle counts bit-identical
-//! to per-op accounting; the fuel check is likewise hoisted to block
-//! granularity (loops always cross a block boundary, so infinite loops
-//! still trap). Receiver-polymorphic call sites carry monomorphic inline
-//! caches keyed on the receiver's TIB (see [`VmState::ic_lookup`]),
-//! invalidated wholesale whenever the mutation engine patches TIBs, the
-//! JTOC, or installs code.
+//! extends the pool instead of allocating a fresh `Vec`. Cycle and op
+//! charges are folded per straight-line segment at lowering time and charged
+//! at the flush points (see [`crate::linear`]), keeping the *modeled* cycle
+//! counts bit-identical to per-op accounting. Receiver-polymorphic call
+//! sites carry monomorphic inline caches keyed on the receiver's TIB (see
+//! [`VmState::ic_lookup`]), invalidated wholesale whenever the mutation
+//! engine patches TIBs, the JTOC, or installs code.
 
 use crate::error::RunError;
 use crate::hooks::{MutationHandler, NoopHandler, VmObserver};
-use crate::state::{CodeSlot, CompiledId, Frame, VmConfig, VmState, STATIC_SITE_TIB};
+use crate::linear::{CallSite, Inst, LinearCode};
+use crate::state::{CodeSlot, CompiledId, Frame, Output, VmConfig, VmState, STATIC_SITE_TIB};
 use crate::stats::VmStats;
 use crate::tib::TibId;
 use dchm_bytecode::value::ObjRef;
-use dchm_bytecode::{
-    ClassId, IntrinsicKind, MethodId, MethodKind, Op, Program, Reg, SelectorId, Value,
-};
+use dchm_bytecode::{ClassId, IntrinsicKind, MethodId, MethodKind, Program, Reg, SelectorId, Value};
 use dchm_ir::cost::CostModel;
 use dchm_trace::profile::{FrameKey, ProfileSnapshot, NO_STATE};
 use dchm_trace::{FaultKind, Stamped, TraceEvent, NO_ID};
-use dchm_ir::Term;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -51,6 +45,13 @@ pub struct Vm {
     handler: Box<dyn MutationHandler>,
     observer: Option<Box<dyn VmObserver>>,
     watched: Vec<bool>,
+    /// Frame-walk buffer reused by every profiler sample.
+    profile_stack: Vec<FrameKey>,
+    /// Handles on the code bodies, parallel to `state.code`, kept across
+    /// runs: the loop borrows the running frame's instructions from here
+    /// (not from `state`), which costs no refcount traffic per frame entry
+    /// and leaves `self` free.
+    lins: Vec<Arc<LinearCode>>,
 }
 
 impl Vm {
@@ -70,6 +71,8 @@ impl Vm {
             handler,
             observer: None,
             watched: Vec::new(),
+            profile_stack: Vec::new(),
+            lins: Vec::new(),
         }
     }
 
@@ -152,7 +155,9 @@ impl Vm {
     ///
     /// # Errors
     /// Propagates any trap raised during execution;
-    /// [`RunError::Poisoned`] when an earlier run was contained.
+    /// [`RunError::Poisoned`] when an earlier run was contained;
+    /// [`RunError::VmInvariant`] — with the VM untouched — when `args` does
+    /// not match the method's parameter count.
     ///
     /// # Panics
     /// Panics if called re-entrantly (frames not empty) or if `mid` is not
@@ -167,6 +172,13 @@ impl Vm {
             MethodKind::Static,
             "call_static target must be static"
         );
+        let md = self.state.program.method(mid);
+        if args.len() != md.arg_count() {
+            let (name, want, got) = (&md.name, md.arg_count(), args.len());
+            return Err(invariant(format!(
+                "call_static arity: {name} takes {want} argument(s), got {got}"
+            )));
+        }
         if let Some(limit) = self.state.config.max_frame_depth {
             if limit == 0 {
                 return Err(RunError::StackOverflow { depth: 1, limit });
@@ -174,7 +186,7 @@ impl Vm {
         }
         let cid = self.state.ensure_compiled(mid);
         self.drain_events();
-        let nregs = self.state.code[cid.index()].func.num_regs as usize;
+        let nregs = self.state.code[cid.index()].lin.num_regs as usize;
         let base = self.state.reg_stack.len();
         self.state.reg_stack.resize(base + nregs, Value::Int(0));
         self.state.reg_stack[base..base + args.len()].copy_from_slice(args);
@@ -183,11 +195,13 @@ impl Vm {
             method: mid,
             cid,
             base,
-            block: 0,
-            op: 0,
+            pc: 0,
             ret_dst: None,
         });
-        match catch_unwind(AssertUnwindSafe(|| self.run_loop())) {
+        let mut lins = std::mem::take(&mut self.lins);
+        let run = catch_unwind(AssertUnwindSafe(|| self.run_loop(&mut lins)));
+        self.lins = lins;
+        match run {
             Ok(r) => r,
             Err(payload) => {
                 self.state.poisoned = true;
@@ -207,127 +221,155 @@ impl Vm {
     // Core loop
     // -----------------------------------------------------------------
 
-    fn run_loop(&mut self) -> Result<Option<Value>, RunError> {
+    fn run_loop(&mut self, lins: &mut Vec<Arc<LinearCode>>) -> Result<Option<Value>, RunError> {
         let mut final_ret: Option<Value> = None;
         // `config.fuel` cannot change mid-run; fold the `Option` away so the
         // per-block check is a single compare.
         let fuel_limit = self.state.config.fuel.unwrap_or(u64::MAX);
-        // Not a `while let`: the loop body re-borrows `self.state` mutably
-        // throughout, so the cursor must be destructured to `Copy` locals
-        // in a scope of its own.
-        #[allow(clippy::while_let_loop)]
-        'frames: loop {
-            // (Re)load the execution cursor from the top frame. The frame's
-            // block/op stay stale until the cursor is written back at a
-            // call, trap or fuel stop.
-            let (method, cid, base, mut bi, mut oi) = match self.state.frames.last() {
-                Some(fr) => (
-                    fr.method,
-                    fr.cid,
-                    fr.base,
-                    fr.block as usize,
-                    fr.op as usize,
-                ),
-                None => break,
-            };
-            let cm = &self.state.code[cid.index()];
-            let func = Arc::clone(&cm.func);
-            let meta = Arc::clone(&cm.meta);
-            // The ops in `seg..oi` form the straight-line segment executed
-            // since the last flush; its cycle cost is the prefix-sum
-            // difference, so nothing is accumulated per op. Flushed before
-            // anything that observes the clock or op count: terminators
-            // (sampling), call dispatch (compilation), traps and the fuel
-            // stop. Both are (re)assigned at every block entry.
-            let mut seg;
-            let mut prefix;
-            macro_rules! flush {
-                () => {
-                    let span = prefix[oi] - prefix[seg];
-                    if span != 0 {
-                        self.charge(method, span);
-                    }
-                    self.state.stats.ops_executed += (oi - seg) as u64;
-                    // Dead on paths that exit the loop right after.
-                    #[allow(unused_assignments)]
-                    {
-                        seg = oi;
-                    }
-                };
+        // (Re)load the execution cursor from the top frame. The frame's pc
+        // stays stale until it is parked at a call, trap or fuel stop.
+        'frames: while let Some(&Frame { method, cid, base, pc, .. }) = self.state.frames.last() {
+            let mut pc = pc as usize;
+            let code = &self.state.code;
+            if !lins.get(cid.index()).is_some_and(|l| Arc::ptr_eq(l, &code[cid.index()].lin)) {
+                // New code was installed, or this body was re-lowered with
+                // a deopt resume entry.
+                lins.truncate(cid.index());
+                lins.extend(code[lins.len()..].iter().map(|c| Arc::clone(&c.lin)));
             }
-            macro_rules! trap {
+            let lin: &LinearCode = &lins[cid.index()];
+            let insts = &*lin.insts;
+            // Publishes `(cycles, ops)` of finished segments. Spelled out
+            // field by field (not `self.charge`) so it can run while the
+            // register window is borrowed.
+            macro_rules! publish {
+                ($c:expr, $o:expr) => {{
+                    self.state.clock += $c;
+                    let stats = &mut self.state.stats;
+                    stats.ops_executed += $o;
+                    stats.exec_cycles += $c;
+                    stats.per_method[method.index()].cycles += $c;
+                }};
+            }
+            // Leaves with an error, nothing pending.
+            macro_rules! bail {
                 ($e:expr) => {{
-                    flush!();
-                    self.write_back(bi, oi);
+                    self.park(pc);
                     return Err($e);
                 }};
             }
-            macro_rules! reg {
-                ($r:expr) => {
-                    self.state.reg_stack[base + $r.index()]
-                };
+            // Leaves with an error from inside a segment: publishes the
+            // pending `$pend` plus the exact prefix through the trapping op.
+            macro_rules! trap_with {
+                ($pend:expr, $e:expr) => {{
+                    let (c, o) = lin.prefix[pc - 1];
+                    publish!($pend.0 + c, $pend.1 + o);
+                    bail!($e)
+                }};
             }
-            macro_rules! non_null {
-                ($r:expr) => {
-                    match reg!($r).as_ref_opt() {
-                        Some(o) => o,
-                        None => trap!(RunError::NullPointer),
-                    }
-                };
+            macro_rules! enter {
+                ($target:expr, $tcid:expr, $recv:expr, $cs:expr) => {{
+                    self.park(pc);
+                    let args = &lin.args[$cs.args.0 as usize..$cs.args.1 as usize];
+                    self.push_call($target, $tcid, $recv, args, $cs.dst, base)?;
+                    continue 'frames;
+                }};
+            }
+            // Fuel check, at frame entry and after every branch: every loop
+            // crosses one, so runaway programs still stop. Nothing is
+            // pending at either point.
+            if self.state.stats.ops_executed > fuel_limit {
+                bail!(RunError::OutOfFuel);
             }
             loop {
-                // Fuel check, hoisted to block granularity: every loop
-                // crosses a block boundary, so runaway programs still stop.
-                // Nothing is pending here (blocks are entered flushed), so
-                // trap directly.
-                if self.state.stats.ops_executed > fuel_limit {
-                    self.write_back(bi, oi);
-                    return Err(RunError::OutOfFuel);
+                // The fast section runs on a borrowed register window and
+                // touches `self` only field by field; an instruction that
+                // needs the whole state (allocation, the mutation handler)
+                // leaves it and runs below. Flush points (see
+                // `crate::linear`) add to `pend`, published on every way
+                // out: whatever runs outside observes the clock exactly at
+                // the flush points, never the segment in progress.
+                let regs = &mut self.state.reg_stack[base..];
+                let tick_at = self.state.next_sample_at.min(self.state.next_profile_at);
+                let tick_left = tick_at.saturating_sub(self.state.clock);
+                let fuel_left = fuel_limit.saturating_sub(self.state.stats.ops_executed);
+                let mut pend = (0u64, 0u64);
+                macro_rules! fold {
+                    ($cost:expr) => {{
+                        let (c, o) = match $cost.ops {
+                            u16::MAX => lin.prefix[pc - 1],
+                            o => ($cost.cycles as u64, o as u64),
+                        };
+                        pend = (pend.0 + c, pend.1 + o);
+                    }};
                 }
-                let block = &func.blocks[bi];
-                prefix = meta.prefix(bi);
-                seg = oi;
-                let nops = block.ops.len();
-                for op in &block.ops[oi..] {
-                    oi += 1;
-                    match op {
-                        Op::ConstI { dst, val } => reg!(dst) = Value::Int(*val),
-                        Op::ConstD { dst, val } => reg!(dst) = Value::Double(*val),
-                        Op::ConstNull { dst } => reg!(dst) = Value::Null,
-                        Op::Mov { dst, src } => reg!(dst) = reg!(src),
-                        Op::IBin { op: bin, dst, a, b } => {
+                #[rustfmt::skip]
+                macro_rules! flush { ($cost:expr) => {{ fold!($cost); publish!(pend.0, pend.1); }}; }
+                #[rustfmt::skip]
+                macro_rules! trap { ($e:expr) => { trap_with!(pend, $e) }; }
+                #[rustfmt::skip]
+                macro_rules! reg { ($r:expr) => { regs[$r.index()] }; }
+                macro_rules! non_null {
+                    ($r:expr, $leave:ident) => {
+                        match reg!($r).as_ref_opt() {
+                            Some(o) => o,
+                            None => $leave!(RunError::NullPointer),
+                        }
+                    };
+                }
+                // A taken branch: fold the segment, then leave the fast
+                // section only when a sample, a profile tick or the fuel
+                // stop is due.
+                macro_rules! branch {
+                    ($cost:expr, $to:expr) => {{
+                        fold!($cost);
+                        pc = $to as usize;
+                        if pend.0 >= tick_left || pend.1 > fuel_left {
+                            break None;
+                        }
+                    }};
+                }
+                let slow = loop {
+                    let inst = insts[pc];
+                    pc += 1;
+                    match inst {
+                        Inst::ConstI { dst, val } => reg!(dst) = Value::Int(val),
+                        Inst::ConstD { dst, val } => reg!(dst) = Value::Double(val),
+                        Inst::ConstNull { dst } => reg!(dst) = Value::Null,
+                        Inst::Mov { dst, src } => reg!(dst) = reg!(src),
+                        Inst::IBin { op, dst, a, b } => {
                             let (a, b) = (reg!(a).as_int(), reg!(b).as_int());
-                            let r = match bin.eval(a, b) {
+                            let r = match op.eval(a, b) {
                                 Some(r) => r,
                                 None => trap!(RunError::DivideByZero),
                             };
                             reg!(dst) = Value::Int(r);
                         }
-                        Op::INeg { dst, a } => {
+                        Inst::INeg { dst, a } => {
                             reg!(dst) = Value::Int(reg!(a).as_int().wrapping_neg());
                         }
-                        Op::DBin { op: bin, dst, a, b } => {
+                        Inst::DBin { op, dst, a, b } => {
                             let (a, b) = (reg!(a).as_double(), reg!(b).as_double());
-                            reg!(dst) = Value::Double(bin.eval(a, b));
+                            reg!(dst) = Value::Double(op.eval(a, b));
                         }
-                        Op::DNeg { dst, a } => {
+                        Inst::DNeg { dst, a } => {
                             reg!(dst) = Value::Double(-reg!(a).as_double());
                         }
-                        Op::I2D { dst, a } => {
+                        Inst::I2D { dst, a } => {
                             reg!(dst) = Value::Double(reg!(a).as_int() as f64);
                         }
-                        Op::D2I { dst, a } => {
+                        Inst::D2I { dst, a } => {
                             reg!(dst) = Value::Int(reg!(a).as_double() as i64);
                         }
-                        Op::ICmp { op: cmp, dst, a, b } => {
-                            let r = cmp.eval_int(reg!(a).as_int(), reg!(b).as_int());
+                        Inst::ICmp { op, dst, a, b } => {
+                            let r = op.eval_int(reg!(a).as_int(), reg!(b).as_int());
                             reg!(dst) = Value::Int(r as i64);
                         }
-                        Op::DCmp { op: cmp, dst, a, b } => {
-                            let r = cmp.eval_double(reg!(a).as_double(), reg!(b).as_double());
+                        Inst::DCmp { op, dst, a, b } => {
+                            let r = op.eval_double(reg!(a).as_double(), reg!(b).as_double());
                             reg!(dst) = Value::Int(r as i64);
                         }
-                        Op::RefEq { dst, a, b } => {
+                        Inst::RefEq { dst, a, b } => {
                             let r = match (reg!(a), reg!(b)) {
                                 (Value::Null, Value::Null) => true,
                                 (Value::Ref(x), Value::Ref(y)) => x == y,
@@ -340,164 +382,61 @@ impl Vm {
                             };
                             reg!(dst) = Value::Int(r as i64);
                         }
-                        Op::New { dst, class } => {
-                            let r = match self.state.alloc_object(*class) {
-                                Ok(r) => r,
-                                Err(e) => trap!(e),
-                            };
-                            reg!(dst) = Value::Ref(r);
-                        }
-                        Op::GetField { dst, obj, field } => {
-                            let o = non_null!(obj);
-                            let slot = self.state.field_slot(*field);
+                        Inst::GetField { dst, obj, slot } => {
+                            let o = non_null!(obj, trap);
                             let v = match self.state.heap.try_object(o) {
-                                Ok(od) => od.fields[slot],
+                                Ok(od) => od.fields[slot as usize],
                                 Err(e) => trap!(e),
                             };
                             reg!(dst) = v;
                         }
-                        Op::PutField { obj, field, src } => {
-                            let o = non_null!(obj);
+                        Inst::PutField { obj, src, slot, field } => {
+                            let o = non_null!(obj, trap);
                             let v = reg!(src);
-                            let slot = self.state.field_slot(*field);
                             match self.state.heap.try_object_mut(o) {
-                                Ok(od) => od.fields[slot] = v,
+                                Ok(od) => od.fields[slot as usize] = v,
                                 Err(e) => trap!(e),
                             }
                             if !self.watched.is_empty() && self.watched[field.index()] {
                                 let class = self.state.heap.object(o).class;
                                 if let Some(obs) = &mut self.observer {
-                                    obs.on_instance_store(class, *field, v);
+                                    obs.on_instance_store(class, field, v);
                                 }
                             }
                         }
-                        Op::GetStatic { dst, field } => {
-                            reg!(dst) = self.state.get_static(*field);
+                        Inst::GetStatic { dst, slot } => {
+                            reg!(dst) = self.state.statics[slot as usize];
                         }
-                        Op::PutStatic { field, src } => {
+                        Inst::PutStatic { src, slot, field } => {
                             let v = reg!(src);
-                            self.state.set_static(*field, v);
+                            self.state.statics[slot as usize] = v;
                             if !self.watched.is_empty() && self.watched[field.index()] {
                                 if let Some(obs) = &mut self.observer {
-                                    obs.on_static_store(*field, v);
+                                    obs.on_static_store(field, v);
                                 }
                             }
                         }
-                        Op::CallVirtual {
-                            dst,
-                            sel,
-                            obj,
-                            args,
-                        } => {
-                            flush!();
-                            let recv = non_null!(obj);
-                            let tib = match self.state.heap.try_object(recv) {
-                                Ok(od) => od.tib,
-                                Err(e) => trap!(e),
+                        Inst::CallVirtual { site, cost }
+                        | Inst::CallSpecial { site, cost }
+                        | Inst::CallStatic { site, cost } => {
+                            flush!(cost);
+                            let cs = lin.calls[site as usize];
+                            let recv = match inst {
+                                Inst::CallStatic { .. } => None,
+                                _ => Some(non_null!(cs.obj, bail)),
                             };
-                            let site = meta.site(bi, oi - 1);
-                            let (target, tcid) = match self.state.ic_lookup(cid, site, tib) {
-                                Some((m, c, _)) => (m, c),
-                                None => match self.dispatch_virtual(recv, *sel) {
-                                    Ok((m, c)) => {
-                                        self.state.ic_store(cid, site, tib, m, c, 0);
-                                        (m, c)
-                                    }
-                                    Err(e) => trap!(e),
-                                },
-                            };
-                            self.write_back(bi, oi);
-                            self.push_call(target, tcid, Some(Value::Ref(recv)), args, *dst, base)?;
-                            continue 'frames;
-                        }
-                        Op::CallInterface {
-                            dst,
-                            iface: _,
-                            sel,
-                            obj,
-                            args,
-                        } => {
-                            flush!();
-                            let recv = non_null!(obj);
-                            let tib = match self.state.heap.try_object(recv) {
-                                Ok(od) => od.tib,
-                                Err(e) => trap!(e),
-                            };
-                            let site = meta.site(bi, oi - 1);
-                            let (target, tcid) = match self.state.ic_lookup(cid, site, tib) {
-                                Some((m, c, extra)) => {
-                                    // Replay the deterministic dispatch
-                                    // extras the slow path would charge.
-                                    if extra != 0 {
-                                        self.charge(method, extra);
-                                    }
-                                    (m, c)
+                            let bound = match (inst, recv) {
+                                (Inst::CallVirtual { .. }, Some(r)) => {
+                                    self.bind_virtual(method, cid, site, &cs, r)
                                 }
-                                None => match self.dispatch_interface(recv, *sel, method) {
-                                    Ok((m, c, extra)) => {
-                                        self.state.ic_store(cid, site, tib, m, c, extra);
-                                        (m, c)
-                                    }
-                                    Err(e) => trap!(e),
-                                },
+                                _ => self.bind_static(cid, site, &cs, recv.is_some()),
                             };
-                            self.write_back(bi, oi);
-                            self.push_call(target, tcid, Some(Value::Ref(recv)), args, *dst, base)?;
-                            continue 'frames;
+                            match bound {
+                                Ok((m, c)) => enter!(m, c, recv.map(Value::Ref), cs),
+                                Err(e) => bail!(e),
+                            }
                         }
-                        Op::CallSpecial {
-                            dst,
-                            class,
-                            sel,
-                            obj,
-                            args,
-                        } => {
-                            flush!();
-                            let recv = non_null!(obj);
-                            let site = meta.site(bi, oi - 1);
-                            let (target, tcid) =
-                                match self.state.ic_lookup(cid, site, STATIC_SITE_TIB) {
-                                    Some((m, c, _)) => (m, c),
-                                    None => {
-                                        let target = match self
-                                            .state
-                                            .resolve_special_cached(*class, *sel)
-                                        {
-                                            Some(t) => t,
-                                            None => trap!(RunError::NoSuchMethod {
-                                                what: format!("{}::{}", class, sel),
-                                            }),
-                                        };
-                                        let tcid = self.dispatch_static_bound(target);
-                                        self.state
-                                            .ic_store(cid, site, STATIC_SITE_TIB, target, tcid, 0);
-                                        (target, tcid)
-                                    }
-                                };
-                            self.write_back(bi, oi);
-                            self.push_call(target, tcid, Some(Value::Ref(recv)), args, *dst, base)?;
-                            continue 'frames;
-                        }
-                        Op::CallStatic {
-                            dst,
-                            method: m,
-                            args,
-                        } => {
-                            flush!();
-                            let site = meta.site(bi, oi - 1);
-                            let tcid = match self.state.ic_lookup(cid, site, STATIC_SITE_TIB) {
-                                Some((_, c, _)) => c,
-                                None => {
-                                    let c = self.dispatch_static_bound(*m);
-                                    self.state.ic_store(cid, site, STATIC_SITE_TIB, *m, c, 0);
-                                    c
-                                }
-                            };
-                            self.write_back(bi, oi);
-                            self.push_call(*m, tcid, None, args, *dst, base)?;
-                            continue 'frames;
-                        }
-                        Op::InstanceOf { dst, obj, class } => {
+                        Inst::InstanceOf { dst, obj, class } => {
                             let r = match reg!(obj) {
                                 Value::Null => false,
                                 Value::Ref(o) => {
@@ -506,7 +445,7 @@ impl Vm {
                                     // identity (Sec. 3.2.3).
                                     let tib = self.state.heap.object(o).tib;
                                     let oc = self.state.tibs[tib.index()].class;
-                                    self.state.program.instance_of(oc, *class)
+                                    self.state.program.instance_of(oc, class)
                                 }
                                 v => trap!(RunError::TypeConfusion {
                                     what: format!("instanceof on non-reference {v:?}"),
@@ -514,12 +453,12 @@ impl Vm {
                             };
                             reg!(dst) = Value::Int(r as i64);
                         }
-                        Op::CheckCast { obj, class } => match reg!(obj) {
+                        Inst::CheckCast { obj, class } => match reg!(obj) {
                             Value::Null => {}
                             Value::Ref(o) => {
                                 let tib = self.state.heap.object(o).tib;
                                 let oc = self.state.tibs[tib.index()].class;
-                                if !self.state.program.instance_of(oc, *class) {
+                                if !self.state.program.instance_of(oc, class) {
                                     trap!(RunError::ClassCast);
                                 }
                             }
@@ -527,16 +466,8 @@ impl Vm {
                                 what: format!("checkcast on non-reference {v:?}"),
                             }),
                         },
-                        Op::NewArr { dst, kind, len } => {
-                            let n = reg!(len).as_int();
-                            let r = match self.state.alloc_array(*kind, n) {
-                                Ok(r) => r,
-                                Err(e) => trap!(e),
-                            };
-                            reg!(dst) = Value::Ref(r);
-                        }
-                        Op::ALoad { dst, arr, idx } => {
-                            let a = non_null!(arr);
+                        Inst::ALoad { dst, arr, idx } => {
+                            let a = non_null!(arr, trap);
                             let i = reg!(idx).as_int();
                             let arr = match self.state.heap.try_array(a) {
                                 Ok(ad) => ad,
@@ -553,8 +484,8 @@ impl Vm {
                                 }
                             }
                         }
-                        Op::AStore { arr, idx, src } => {
-                            let a = non_null!(arr);
+                        Inst::AStore { arr, idx, src } => {
+                            let a = non_null!(arr, trap);
                             let i = reg!(idx).as_int();
                             let v = reg!(src);
                             let arr = match self.state.heap.try_array_mut(a) {
@@ -572,215 +503,189 @@ impl Vm {
                                 }
                             }
                         }
-                        Op::ALen { dst, arr } => {
-                            let a = non_null!(arr);
+                        Inst::ALen { dst, arr } => {
+                            let a = non_null!(arr, trap);
                             let n = match self.state.heap.try_array(a) {
                                 Ok(ad) => ad.elems.len() as i64,
                                 Err(e) => trap!(e),
                             };
                             reg!(dst) = Value::Int(n);
                         }
-                        Op::Intrinsic { dst, kind, args } => {
-                            self.exec_intrinsic(base, *dst, *kind, args);
+                        Inst::Intrinsic { kind, dst, args } => {
+                            exec_intrinsic(regs, &mut self.state.output, dst, kind, args);
                         }
-                        Op::NotifyCtorExit { obj, class } => {
-                            if let Value::Ref(o) = reg!(obj) {
-                                self.handler.on_ctor_exit(&mut self.state, o, *class);
-                            }
-                        }
-                        Op::NotifyInstStore { obj, class, field } => {
-                            if let Value::Ref(o) = reg!(obj) {
-                                self.handler
-                                    .on_instance_store(&mut self.state, o, *class, *field);
-                            }
-                        }
-                        Op::NotifyStaticStore { field } => {
-                            self.handler.on_static_store(&mut self.state, *field);
-                        }
-                        Op::GuardState {
-                            obj,
-                            instance,
-                            statics,
-                            guard,
-                            live_prefix,
-                        } => {
+                        Inst::Guard { site } => {
+                            let g = lin.guards[site as usize];
                             self.state.stats.guards_executed += 1;
-                            let forced = match self.state.injector.as_mut() {
-                                Some(inj) => inj.at_guard(),
-                                None => false,
-                            };
-                            let recv = match obj {
-                                Some(r) => match reg!(r).as_ref_opt() {
-                                    Some(o) => Some(o),
-                                    None => trap!(RunError::NullPointer),
-                                },
+                            let forced =
+                                self.state.injector.as_mut().is_some_and(|inj| inj.at_guard());
+                            let recv = match g.obj {
+                                Some(r) => Some(non_null!(r, trap)),
                                 None => None,
                             };
+                            let binds = |r: (u32, u32)| lin.binds[r.0 as usize..r.1 as usize].iter();
                             let mut holds = !forced;
-                            if holds {
-                                if let Some(o) = recv {
-                                    let od = match self.state.heap.try_object(o) {
-                                        Ok(od) => od,
-                                        Err(e) => trap!(e),
-                                    };
-                                    for (field, want) in instance {
-                                        let slot = self.state.field_slot(*field);
-                                        if !od.fields[slot].key_eq(*want) {
-                                            holds = false;
-                                            break;
-                                        }
-                                    }
-                                }
+                            if let (true, Some(o)) = (holds, recv) {
+                                let od = match self.state.heap.try_object(o) {
+                                    Ok(od) => od,
+                                    Err(e) => trap!(e),
+                                };
+                                holds = binds(g.instance)
+                                    .all(|&(slot, want)| od.fields[slot as usize].key_eq(want));
                             }
-                            if holds {
-                                for (field, want) in statics {
-                                    if !self.state.get_static(*field).key_eq(*want) {
-                                        holds = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            if !holds {
-                                self.state.stats.guard_failures += 1;
-                                flush!();
-                                self.write_back(bi, oi);
-                                if self.state.tracer.on() {
-                                    if forced {
-                                        self.state.tracer.emit(
-                                            self.state.clock,
-                                            TraceEvent::FaultInjected {
-                                                kind: FaultKind::ForcedGuardFail,
-                                                method: method.0,
-                                            },
-                                        );
-                                    }
-                                    self.state.tracer.emit(
-                                        self.state.clock,
-                                        TraceEvent::GuardFail {
-                                            method: method.0,
-                                            guard: *guard,
-                                            obj: recv.map_or(NO_ID, |o| o.0),
-                                            forced,
-                                        },
-                                    );
-                                }
-                                self.state.governor_on_guard_fail(cid);
-                                self.deoptimize(*guard, *live_prefix, recv)?;
+                            let statics = &self.state.statics;
+                            if !(holds
+                                && binds(g.statics)
+                                    .all(|&(slot, want)| statics[slot as usize].key_eq(want)))
+                            {
+                                let (c, o) = lin.prefix[pc - 1];
+                                publish!(pend.0 + c, pend.1 + o);
+                                self.park(pc);
+                                self.guard_failed(g.guard, g.live_prefix, recv, forced)?;
                                 continue 'frames;
                             }
                         }
-                    }
-                }
-
-                // Terminator: charge the remaining block tail plus the
-                // terminator itself in one go (oi == nops here). Ret folds
-                // its FRAME_COST into the same charge — nothing observes the
-                // clock between the two in the split version.
-                let tail = prefix[nops] - prefix[seg] + CostModel::TERM_COST;
-                self.state.stats.ops_executed += (nops - seg) as u64;
-                match &block.term {
-                    Term::Jmp(b) => {
-                        self.charge(method, tail);
-                        bi = b.0 as usize;
-                        oi = 0;
-                    }
-                    Term::Br { cond, t, f } => {
-                        self.charge(method, tail);
-                        let v = reg!(cond).as_int();
-                        bi = if v != 0 { t.0 as usize } else { f.0 as usize };
-                        oi = 0;
-                    }
-                    Term::Ret(v) => {
-                        self.charge(method, tail + CostModel::FRAME_COST);
-                        let Some(popped) = self.state.frames.pop() else {
-                            return Err(RunError::VmInvariant {
-                                what: "return executed with no live frame".to_string(),
-                            });
-                        };
-                        let val = v.map(|r| self.state.reg_stack[popped.base + r.index()]);
-                        self.state.reg_stack.truncate(popped.base);
-                        let caller_base = self.state.frames.last().map(|c| c.base);
-                        match caller_base {
-                            Some(cb) => {
-                                if let Some(dst) = popped.ret_dst {
-                                    let Some(val) = val else {
-                                        return Err(RunError::VmInvariant {
-                                            what: "void return reached a call site \
-                                                   expecting a value"
-                                                .to_string(),
-                                        });
-                                    };
-                                    self.state.reg_stack[cb + dst.index()] = val;
-                                }
-                            }
-                            None => final_ret = val,
+                        Inst::Jmp { t, cost } => branch!(cost, t),
+                        Inst::Br { cond, t, f, cost } => {
+                            branch!(cost, if reg!(cond).as_int() != 0 { t } else { f });
                         }
-                        self.maybe_profile();
-                        self.maybe_sample(method);
-                        continue 'frames;
+                        // The compare half of a fused pair: takes the
+                        // branch in the next slot without dispatching it.
+                        Inst::ICmpBr { op, dst, a, b } => {
+                            let r = op.eval_int(reg!(a).as_int(), reg!(b).as_int());
+                            reg!(dst) = Value::Int(r as i64);
+                            let Inst::Br { t, f, cost, .. } = insts[pc] else {
+                                unreachable!("ICmpBr not followed by its Br");
+                            };
+                            pc += 1;
+                            branch!(cost, if r { t } else { f });
+                        }
+                        // Ret folds its FRAME_COST into the same charge as
+                        // the block tail — nothing observes the clock
+                        // between the two.
+                        Inst::Ret { val, cost } => {
+                            flush!(cost);
+                            let Some(popped) = self.state.frames.pop() else {
+                                return Err(invariant("return executed with no live frame"));
+                            };
+                            let val = val.map(|r| self.state.reg_stack[popped.base + r.index()]);
+                            self.state.reg_stack.truncate(popped.base);
+                            let caller_base = self.state.frames.last().map(|c| c.base);
+                            match caller_base {
+                                Some(cb) => {
+                                    if let Some(dst) = popped.ret_dst {
+                                        let Some(val) = val else {
+                                            return Err(invariant(
+                                                "void return reached a call site expecting a value",
+                                            ));
+                                        };
+                                        self.state.reg_stack[cb + dst.index()] = val;
+                                    }
+                                }
+                                None => final_ret = val,
+                            }
+                            self.tick(method);
+                            continue 'frames;
+                        }
+                        Inst::Unreachable { cost } => {
+                            flush!(cost);
+                            bail!(RunError::UnreachableExecuted);
+                        }
+                        slow => break Some(slow),
                     }
-                    Term::Unreachable => {
-                        self.charge(method, tail);
-                        self.write_back(bi, oi);
-                        return Err(RunError::UnreachableExecuted);
+                };
+                publish!(pend.0, pend.1);
+                match slow {
+                    None => {
+                        self.tick(method);
+                        if self.state.stats.ops_executed > fuel_limit {
+                            bail!(RunError::OutOfFuel);
+                        }
                     }
+                    Some(Inst::New { dst, class }) => match self.state.alloc_object(class) {
+                        Ok(r) => self.state.reg_stack[base + dst.index()] = Value::Ref(r),
+                        Err(e) => trap_with!((0, 0), e),
+                    },
+                    Some(Inst::NewArr { dst, kind, len }) => {
+                        let n = self.state.reg_stack[base + len.index()].as_int();
+                        match self.state.alloc_array(kind, n) {
+                            Ok(r) => self.state.reg_stack[base + dst.index()] = Value::Ref(r),
+                            Err(e) => trap_with!((0, 0), e),
+                        }
+                    }
+                    Some(Inst::NotifyCtorExit { obj, class }) => {
+                        if let Value::Ref(o) = self.state.reg_stack[base + obj.index()] {
+                            self.handler.on_ctor_exit(&mut self.state, o, class);
+                        }
+                    }
+                    Some(Inst::NotifyInstStore { obj, class, field }) => {
+                        if let Value::Ref(o) = self.state.reg_stack[base + obj.index()] {
+                            self.handler
+                                .on_instance_store(&mut self.state, o, class, field);
+                        }
+                    }
+                    Some(Inst::NotifyStaticStore { field }) => {
+                        self.handler.on_static_store(&mut self.state, field);
+                    }
+                    Some(other) => unreachable!("{other:?} left the fast section"),
                 }
-                self.maybe_profile();
-                self.maybe_sample(method);
             }
         }
         Ok(final_ret)
     }
 
-    /// Writes the local cursor back to the top frame (call boundaries,
-    /// traps, fuel stop). Tolerates an empty frame stack: trap paths may
-    /// run after the stack already unwound, and a missing frame must not
-    /// turn a typed trap into a panic.
+    /// Parks the local pc in the top frame (call boundaries, traps, fuel
+    /// stop). Tolerates an empty frame stack: trap paths may run after the
+    /// stack already unwound, and a missing frame must not turn a typed
+    /// trap into a panic.
     #[inline]
-    fn write_back(&mut self, bi: usize, oi: usize) {
+    fn park(&mut self, pc: usize) {
         if let Some(fr) = self.state.frames.last_mut() {
-            fr.block = bi as u32;
-            fr.op = oi as u32;
+            fr.pc = pc as u32;
         }
     }
 
-    /// Deoptimizes the top frame after guard `guard` failed: remaps its
-    /// register window and cursor onto the method's baseline code version
-    /// via the deopt side table, and restores the receiver's class TIB so
-    /// dispatch stops treating an object that left its hot state as
-    /// specialized. The caller has already flushed charges and written the
-    /// cursor back; on return it re-enters the frame loop, which picks up
-    /// execution in baseline code at the recorded resume point.
+    /// Handles a failed guard of the top frame: traces it, lets the
+    /// governor react, then deoptimizes — remaps the frame's register window
+    /// and pc onto the method's baseline code version via the deopt side
+    /// table, and restores the receiver's class TIB so dispatch stops
+    /// treating an object that left its hot state as specialized. The
+    /// caller has already published charges and parked the pc; on return it
+    /// re-enters the frame loop, which picks up execution in baseline code
+    /// at the resume entry of the recorded point.
     ///
     /// The transition itself is free on the modeled clock (the paper's
     /// deopt cost is the lost specialization, not the remap); only the
     /// one-time baseline compile — if the method's general code is not
     /// already level 0 — bills compile cycles.
-    fn deoptimize(
+    fn guard_failed(
         &mut self,
         guard: u32,
         live_prefix: u16,
         recv: Option<ObjRef>,
+        forced: bool,
     ) -> Result<(), RunError> {
-        let fr = *self
-            .state
-            .frames
-            .last()
-            .ok_or_else(|| RunError::VmInvariant {
-                what: "guard failure with no live frame".to_string(),
-            })?;
-        let cm = &self.state.code[fr.cid.index()];
-        let mid = cm.method;
-        let point = cm
-            .deopt
-            .as_ref()
+        let no_frame = || invariant("guard failure with no live frame");
+        let fr = *self.state.frames.last().ok_or_else(no_frame)?;
+        let mid = fr.method;
+        self.state.stats.guard_failures += 1;
+        if self.state.tracer.on() {
+            let (now, obj) = (self.state.clock, recv.map_or(NO_ID, |o| o.0));
+            if forced {
+                let kind = FaultKind::ForcedGuardFail;
+                self.state.tracer.emit(now, TraceEvent::FaultInjected { kind, method: mid.0 });
+            }
+            self.state.tracer.emit(now, TraceEvent::GuardFail { method: mid.0, guard, obj, forced });
+        }
+        self.state.governor_on_guard_fail(fr.cid);
+        let side_table = self.state.code[fr.cid.index()].deopt.as_ref();
+        let point = side_table
             .and_then(|d| d.points.get(guard as usize))
             .copied()
-            .ok_or_else(|| RunError::VmInvariant {
-                what: format!("guard #{guard} has no deopt side-table entry"),
-            })?;
+            .ok_or_else(|| invariant(format!("guard #{guard} has no deopt side-table entry")))?;
         let bcid = self.state.ensure_baseline(mid);
-        let bregs = self.state.code[bcid.index()].func.num_regs as usize;
+        let pc = self.state.resume_pc(bcid, point);
+        let bregs = self.state.code[bcid.index()].lin.num_regs as usize;
         // The live prefix carries over positionally (guards pin those
         // registers: every pass keeps the prefix stable); everything past
         // it is a baseline local that is dead at the resume point, so it is
@@ -798,17 +703,8 @@ impl Vm {
                 self.state.set_object_tib(o, class_tib);
             }
         }
-        let from_code = fr.cid;
-        let fr = self
-            .state
-            .frames
-            .last_mut()
-            .ok_or_else(|| RunError::VmInvariant {
-                what: "frame vanished during deoptimization".to_string(),
-            })?;
-        fr.cid = bcid;
-        fr.block = point.block;
-        fr.op = point.op;
+        let top = self.state.frames.last_mut().ok_or_else(no_frame)?;
+        (top.cid, top.pc) = (bcid, pc);
         self.state.stats.deopts += 1;
         if self.state.tracer.on() {
             // Stamped *after* any baseline compile stall, so the
@@ -818,7 +714,7 @@ impl Vm {
                 self.state.clock,
                 TraceEvent::Deopt {
                     method: mid.0,
-                    from_code: from_code.0,
+                    from_code: fr.cid.0,
                     to_code: bcid.0,
                     obj: recv.map_or(NO_ID, |o| o.0),
                 },
@@ -843,22 +739,15 @@ impl Vm {
         self.state.stats.per_method[method.index()].cycles += cycles;
     }
 
-    /// Reads a register of the frame whose window starts at `base`.
+    /// Segment-bottom check for the two modeled-clock schedules: the
+    /// cycle-attribution profiler (next period multiple; `u64::MAX` when
+    /// off), then the adaptive sampler. Inlined so the common case is two
+    /// compares, with the sampling work kept out of line.
     #[inline(always)]
-    fn rget(&self, base: usize, r: Reg) -> Value {
-        self.state.reg_stack[base + r.index()]
-    }
-
-    /// Writes a register of the frame whose window starts at `base`.
-    #[inline(always)]
-    fn rset(&mut self, base: usize, r: Reg, v: Value) {
-        self.state.reg_stack[base + r.index()] = v;
-    }
-
-    /// Block-bottom sampling check; inlined so the common no-sample case is
-    /// one compare, with the actual sampling work kept out of line.
-    #[inline(always)]
-    fn maybe_sample(&mut self, method: MethodId) {
+    fn tick(&mut self, method: MethodId) {
+        if self.state.clock >= self.state.next_profile_at {
+            self.take_profile();
+        }
         if self.state.clock >= self.state.next_sample_at {
             self.take_sample(method);
         }
@@ -904,16 +793,6 @@ impl Vm {
         }
     }
 
-    /// Block-bottom profiler check, parallel to [`Self::maybe_sample`]:
-    /// the common no-sample case is one compare against the next period
-    /// multiple (`u64::MAX` when profiling is off).
-    #[inline(always)]
-    fn maybe_profile(&mut self) {
-        if self.state.clock >= self.state.next_profile_at {
-            self.take_profile();
-        }
-    }
-
     /// Takes one attribution sample: steps the deterministic schedule to
     /// the next period multiple beyond the clock (one sample per
     /// crossing, however far a compile/GC stall jumped it — stalls are
@@ -928,7 +807,8 @@ impl Vm {
         let jumps = (st.clock - st.next_profile_at) / period + 1;
         st.next_profile_at += jumps * period;
 
-        let mut stack = Vec::with_capacity(st.frames.len());
+        let stack = &mut self.profile_stack;
+        stack.clear();
         let last = st.frames.len().wrapping_sub(1);
         for (i, fr) in st.frames.iter().enumerate() {
             let cm = &st.code[fr.cid.index()];
@@ -951,7 +831,7 @@ impl Vm {
             }
             stack.push(key);
         }
-        st.profiler.record(&stack);
+        st.profiler.record(stack);
         if st.tracer.on() {
             let method = stack.last().map_or(NO_ID, |k| k.method);
             st.tracer.emit(
@@ -971,56 +851,60 @@ impl Vm {
         }
     }
 
-    fn exec_intrinsic(&mut self, base: usize, dst: Option<Reg>, kind: IntrinsicKind, args: &[Reg]) {
-        match kind {
-            IntrinsicKind::PrintInt => {
-                let v = self.rget(base, args[0]).as_int();
-                let _ = writeln!(self.state.output.text, "{v}");
+    /// Binds a receiver-dispatched call site: the inline cache keyed on the
+    /// receiver's TIB, else the slow path (which fills the cache).
+    #[inline]
+    fn bind_virtual(
+        &mut self,
+        caller: MethodId,
+        cid: CompiledId,
+        site: u32,
+        cs: &CallSite,
+        recv: ObjRef,
+    ) -> Result<(MethodId, CompiledId), RunError> {
+        let tib = self.state.heap.try_object(recv)?.tib;
+        if let Some((m, c, extra)) = self.state.ic_lookup(cid, site, tib) {
+            // Replay the deterministic dispatch extras the slow path would
+            // charge (interface sites only).
+            if extra != 0 {
+                self.charge(caller, extra);
             }
-            IntrinsicKind::PrintDouble => {
-                let v = self.rget(base, args[0]).as_double();
-                let _ = writeln!(self.state.output.text, "{v}");
-            }
-            IntrinsicKind::PrintChar => {
-                let v = self.rget(base, args[0]).as_int();
-                let c = char::from_u32(v as u32).unwrap_or('\u{FFFD}');
-                self.state.output.text.push(c);
-            }
-            IntrinsicKind::SinkInt => {
-                let v = self.rget(base, args[0]).as_int();
-                self.state.output.sink_int(v);
-            }
-            IntrinsicKind::SinkDouble => {
-                let v = self.rget(base, args[0]).as_double();
-                self.state.output.sink_double(v);
-            }
-            IntrinsicKind::DSqrt => {
-                let v = self.rget(base, args[0]).as_double().sqrt();
-                self.rset(base, dst.expect("DSqrt needs dst"), Value::Double(v));
-            }
-            IntrinsicKind::DAbs => {
-                let v = self.rget(base, args[0]).as_double().abs();
-                self.rset(base, dst.expect("DAbs needs dst"), Value::Double(v));
-            }
-            IntrinsicKind::IAbs => {
-                let v = self.rget(base, args[0]).as_int().wrapping_abs();
-                self.rset(base, dst.expect("IAbs needs dst"), Value::Int(v));
-            }
-            IntrinsicKind::IMin => {
-                let v = self
-                    .rget(base, args[0])
-                    .as_int()
-                    .min(self.rget(base, args[1]).as_int());
-                self.rset(base, dst.expect("IMin needs dst"), Value::Int(v));
-            }
-            IntrinsicKind::IMax => {
-                let v = self
-                    .rget(base, args[0])
-                    .as_int()
-                    .max(self.rget(base, args[1]).as_int());
-                self.rset(base, dst.expect("IMax needs dst"), Value::Int(v));
-            }
+            return Ok((m, c));
         }
+        let (m, c, extra) = if cs.iface {
+            self.dispatch_interface(recv, cs.sel, caller)?
+        } else {
+            let (m, c) = self.dispatch_virtual(recv, cs.sel)?;
+            (m, c, 0)
+        };
+        self.state.ic_store(cid, site, tib, m, c, extra);
+        Ok((m, c))
+    }
+
+    /// Binds a receiver-monomorphic call site (`special`: resolved through
+    /// the declaring class; otherwise a static method): the inline cache,
+    /// else JTOC resolution.
+    #[inline]
+    fn bind_static(
+        &mut self,
+        cid: CompiledId,
+        site: u32,
+        cs: &CallSite,
+        special: bool,
+    ) -> Result<(MethodId, CompiledId), RunError> {
+        if let Some((m, c, _)) = self.state.ic_lookup(cid, site, STATIC_SITE_TIB) {
+            return Ok((m, c));
+        }
+        let target = if special {
+            let (class, sel) = (ClassId(cs.target), cs.sel);
+            let resolved = self.state.resolve_special_cached(class, sel);
+            resolved.ok_or_else(|| RunError::NoSuchMethod { what: format!("{class}::{sel}") })?
+        } else {
+            MethodId(cs.target)
+        };
+        let tcid = self.dispatch_static_bound(target);
+        self.state.ic_store(cid, site, STATIC_SITE_TIB, target, tcid, 0);
+        Ok((target, tcid))
     }
 
     /// Virtual dispatch through the object's (possibly special) TIB — the
@@ -1165,7 +1049,7 @@ impl Vm {
                 });
             }
         }
-        let nregs = self.state.code[cid.index()].func.num_regs as usize;
+        let nregs = self.state.code[cid.index()].lin.num_regs as usize;
         let new_base = self.state.reg_stack.len();
         // Incoming values are pushed first, then the remaining locals are
         // zero-filled in one resize, so no slot is written twice.
@@ -1185,12 +1069,47 @@ impl Vm {
             method: target,
             cid,
             base: new_base,
-            block: 0,
-            op: 0,
+            pc: 0,
             ret_dst: dst,
         });
         Ok(())
     }
+}
+
+fn invariant(what: impl Into<String>) -> RunError {
+    RunError::VmInvariant { what: what.into() }
+}
+
+fn exec_intrinsic(
+    regs: &mut [Value],
+    out: &mut Output,
+    dst: Option<Reg>,
+    kind: IntrinsicKind,
+    args: [Reg; 2],
+) {
+    let arg = |i: usize| regs[args[i].index()];
+    let v = match kind {
+        IntrinsicKind::PrintInt => {
+            let _ = writeln!(out.text, "{}", arg(0).as_int());
+            return;
+        }
+        IntrinsicKind::PrintDouble => {
+            let _ = writeln!(out.text, "{}", arg(0).as_double());
+            return;
+        }
+        IntrinsicKind::PrintChar => {
+            let c = char::from_u32(arg(0).as_int() as u32).unwrap_or('\u{FFFD}');
+            return out.text.push(c);
+        }
+        IntrinsicKind::SinkInt => return out.sink_int(arg(0).as_int()),
+        IntrinsicKind::SinkDouble => return out.sink_double(arg(0).as_double()),
+        IntrinsicKind::DSqrt => Value::Double(arg(0).as_double().sqrt()),
+        IntrinsicKind::DAbs => Value::Double(arg(0).as_double().abs()),
+        IntrinsicKind::IAbs => Value::Int(arg(0).as_int().wrapping_abs()),
+        IntrinsicKind::IMin => Value::Int(arg(0).as_int().min(arg(1).as_int())),
+        IntrinsicKind::IMax => Value::Int(arg(0).as_int().max(arg(1).as_int())),
+    };
+    regs[dst.expect("value intrinsic needs dst").index()] = v;
 }
 
 impl std::fmt::Debug for Vm {

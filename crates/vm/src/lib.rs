@@ -70,6 +70,7 @@ pub mod governor;
 pub mod heap;
 pub mod hooks;
 pub mod interp;
+pub mod linear;
 pub mod state;
 pub mod stats;
 pub mod tib;
@@ -88,9 +89,8 @@ pub use hooks::{
     PatchSpec, VmObserver,
 };
 pub use interp::Vm;
-pub use state::{
-    CodeMeta, CodeSlot, CompileRequest, CompiledId, CompiledMethod, VmConfig, VmState,
-};
+pub use linear::{lower, Inst, LinearCode};
+pub use state::{CodeSlot, CompileRequest, CompiledId, CompiledMethod, VmConfig, VmState};
 pub use stats::{MethodProfile, VmStats};
 pub use tib::{Imt, ImtEntry, Tib, TibId, TibKind, IMT_SLOTS};
 

@@ -7,15 +7,16 @@ use crate::compiler;
 use crate::error::RunError;
 use crate::governor::{Governor, GovernorConfig, GuardFailVerdict};
 use crate::heap::Heap;
+use crate::linear::{lower, LinearCode};
 use crate::hooks::{CompilerHints, Fault, FaultInjector, PatchSpec};
 use crate::stats::VmStats;
 use crate::tib::{Imt, Tib, TibId, TibKind};
 use dchm_bytecode::value::ObjRef;
-use dchm_bytecode::{ClassId, FieldId, MethodId, Op, Program, Reg, SelectorId, Value};
+use dchm_bytecode::{ClassId, FieldId, MethodId, Program, Reg, SelectorId, Value};
 use dchm_trace::census::{CensusSnapshot, ClassCensus, ResidencyTracker, TibCensus};
 use dchm_trace::profile::Profiler;
 use dchm_trace::{FaultKind, TraceEvent, Tracer, NO_ID};
-use dchm_ir::cost::{op_cost, CostModel};
+use dchm_ir::cost::CostModel;
 use dchm_ir::passes::Bindings;
 use dchm_ir::{Function, LiftCache};
 use std::collections::{HashMap, HashSet};
@@ -53,85 +54,13 @@ pub enum CodeSlot {
     Code(CompiledId),
 }
 
-/// Sentinel for "this op is not an inline-cache call site".
+/// Sentinel for "no vtable slot" in the dense dispatch table.
 pub const NO_SITE: u32 = u32::MAX;
 
 /// Pseudo-TIB key for inline-cache entries at receiver-monomorphic sites
 /// (`CallSpecial`/`CallStatic`), whose resolution does not depend on the
 /// receiver's TIB. No real TIB ever gets this id.
 pub const STATIC_SITE_TIB: TibId = TibId(u32::MAX);
-
-/// Per-compiled-method metadata precomputed at compile time for the
-/// interpreter fast path:
-///
-/// * dense call-site numbering — every call op gets a sequential site id
-///   (everything else maps to [`NO_SITE`]), indexing this method's
-///   inline-cache row in [`VmState::icaches`]. Receiver-polymorphic sites
-///   (`CallVirtual`/`CallInterface`) key their entry on the receiver TIB;
-///   monomorphic sites (`CallSpecial`/`CallStatic`) use
-///   [`STATIC_SITE_TIB`], caching the JTOC/special resolution;
-/// * per-block cycle-cost prefix sums — `cost_prefix[block][i]` is the
-///   summed [`op_cost`] of ops `0..i`, so the evaluator charges a whole
-///   straight-line segment with one subtraction instead of a per-op cost
-///   lookup, while traps mid-block still charge the exact prefix.
-#[derive(Debug)]
-pub struct CodeMeta {
-    /// `sites[block][op]` -> site id or [`NO_SITE`].
-    sites: Vec<Vec<u32>>,
-    /// `cost_prefix[block]` has `ops.len() + 1` entries.
-    cost_prefix: Vec<Vec<u64>>,
-    /// Number of inline-cache sites (length of the cache row).
-    pub num_sites: u32,
-}
-
-impl CodeMeta {
-    /// Builds the metadata for `func`.
-    pub fn build(func: &Function) -> Self {
-        let mut next = 0u32;
-        let mut sites = Vec::with_capacity(func.blocks.len());
-        let mut cost_prefix = Vec::with_capacity(func.blocks.len());
-        for b in &func.blocks {
-            let mut row = Vec::with_capacity(b.ops.len());
-            let mut prefix = Vec::with_capacity(b.ops.len() + 1);
-            let mut sum = 0u64;
-            prefix.push(0);
-            for op in &b.ops {
-                row.push(match op {
-                    Op::CallVirtual { .. }
-                    | Op::CallInterface { .. }
-                    | Op::CallSpecial { .. }
-                    | Op::CallStatic { .. } => {
-                        let s = next;
-                        next += 1;
-                        s
-                    }
-                    _ => NO_SITE,
-                });
-                sum += op_cost(op);
-                prefix.push(sum);
-            }
-            sites.push(row);
-            cost_prefix.push(prefix);
-        }
-        CodeMeta {
-            sites,
-            cost_prefix,
-            num_sites: next,
-        }
-    }
-
-    /// The site id at `(block, op)`, or [`NO_SITE`].
-    #[inline]
-    pub fn site(&self, block: usize, op: usize) -> u32 {
-        self.sites[block][op]
-    }
-
-    /// The cost prefix sums of `block` (`ops.len() + 1` entries).
-    #[inline]
-    pub fn prefix(&self, block: usize) -> &[u64] {
-        &self.cost_prefix[block]
-    }
-}
 
 /// One monomorphic inline-cache entry: the last dispatch outcome observed
 /// at a call site, keyed by the receiver's TIB. `version` ties the entry to
@@ -175,11 +104,14 @@ pub struct CompiledMethod {
     pub level: u8,
     /// True for state-specialized (mutation) versions.
     pub special: bool,
-    /// The executable IR. `Arc` (not `Rc`): the allocation may be shared
-    /// with other tenant VMs through the fleet's [`SharedCodeCache`].
+    /// The optimizer's output, kept cold for inspection and for re-lowering
+    /// with deopt resume entries; the evaluator never reads it. `Arc` (not
+    /// `Rc`): the allocation may be shared with other tenant VMs through
+    /// the fleet's [`SharedCodeCache`].
     pub func: Arc<Function>,
-    /// Fast-path metadata (inline-cache site numbering, cost prefix sums).
-    pub meta: Arc<CodeMeta>,
+    /// The executable form (see [`crate::linear`]); its call-site pool
+    /// sizes this method's inline-cache row.
+    pub lin: Arc<LinearCode>,
     /// Modeled machine-code size in bytes.
     pub size_bytes: usize,
     /// Canonical fingerprint of the state bindings this code was compiled
@@ -287,13 +219,10 @@ pub struct Frame {
     pub cid: CompiledId,
     /// First register slot of this frame's window in the pooled stack.
     pub base: usize,
-    /// Current block index. Kept current only at call boundaries: while a
-    /// frame is topmost the interpreter runs on a local cursor and writes
-    /// it back when pushing a callee frame, trapping, or running out of
-    /// fuel.
-    pub block: u32,
-    /// Next op index within the block (same caveat as `block`).
-    pub op: u32,
+    /// Next instruction. Kept current only at call boundaries: while a
+    /// frame is topmost the interpreter runs on a local pc and writes it
+    /// back when pushing a callee frame, trapping, or running out of fuel.
+    pub pc: u32,
     /// Caller register receiving the return value.
     pub ret_dst: Option<Reg>,
 }
@@ -384,7 +313,7 @@ pub struct VmState {
     /// past the current top, so no free list is needed.
     pub reg_stack: Vec<Value>,
     /// Per-compiled-method inline-cache rows, parallel to `code`; indexed
-    /// by the call-site ids in [`CompiledMethod::sites`].
+    /// by call-site id ([`LinearCode::calls`]).
     pub(crate) icaches: Vec<Vec<IcEntry>>,
     /// Global inline-cache generation. Bumped by every TIB/JTOC patch,
     /// code install and mutable-class marking; entries with an older
@@ -396,8 +325,6 @@ pub struct VmState {
     vslot_dense: Vec<u32>,
     /// Selector count (row stride of `vslot_dense`).
     num_selectors: usize,
-    /// Dense `field -> slot` table (see [`Self::field_slot`]).
-    field_slots: Vec<u32>,
     /// Program output.
     pub output: Output,
     /// Extra GC roots registered by the host.
@@ -543,11 +470,6 @@ impl VmState {
             }
         }
 
-        // Dense field -> object/static slot table: the interpreter's
-        // field-access fast path skips the full `FieldDef` (whose `String`
-        // name would drag a cold cache line into the loop).
-        let field_slots = program.fields.iter().map(|f| f.slot).collect();
-
         // Per-class zero-value field templates.
         let field_templates = (0..nclasses)
             .map(|ci| {
@@ -588,7 +510,6 @@ impl VmState {
             ic_version: 1,
             vslot_dense,
             num_selectors,
-            field_slots,
             output: Output::default(),
             handles: Vec::new(),
             recompile_events: Vec::new(),
@@ -866,22 +787,21 @@ impl VmState {
         let t0 = Instant::now();
         let outcome = self.run_compiler(mid, level, bindings, env_fp);
         self.compile_wall_nanos += t0.elapsed().as_nanos() as u64;
-        // Metadata derivation stays outside the wall timer, exactly as the
-        // pre-fleet `push_code` built it after the timed pipeline returned.
-        let a = Self::artifact_of(outcome);
+        // Lowering stays outside the wall timer, exactly as the pre-fleet
+        // `push_code` derived its metadata after the timed pipeline returned.
+        let a = self.artifact_of(outcome);
         if let Some(sc) = &self.shared_cache {
             sc.insert(scope, mid.0, level, binding_fp, a.clone());
         }
         a
     }
 
-    /// Wraps a raw compiler outcome into the Arc'd shareable form.
-    fn artifact_of(outcome: compiler::CompileOutcome) -> SharedArtifact {
-        let func = Arc::new(outcome.func);
-        let meta = Arc::new(CodeMeta::build(&func));
+    /// Lowers a raw compiler outcome into the Arc'd shareable form.
+    fn artifact_of(&self, outcome: compiler::CompileOutcome) -> SharedArtifact {
+        let lin = Arc::new(lower(&outcome.func, &self.program, &[]));
         SharedArtifact {
-            func,
-            meta,
+            func: Arc::new(outcome.func),
+            lin,
             size_bytes: outcome.size_bytes,
             compile_cycles: outcome.compile_cycles,
             deopt: outcome.deopt.map(Arc::new),
@@ -948,7 +868,7 @@ impl VmState {
     /// Appends a compiled artifact (and its inline-cache row) to the code
     /// store. No billing, no trace. The artifact's `Arc`s are adopted as-is
     /// — for a shared-cache hit that means zero copies of the function body
-    /// or its metadata; the per-VM inline-cache row and governor verdict
+    /// or its lowered code; the per-VM inline-cache row and governor verdict
     /// cache (`blocked_until`) stay private to this tenant.
     fn push_artifact(
         &mut self,
@@ -959,14 +879,13 @@ impl VmState {
         a: SharedArtifact,
     ) -> CompiledId {
         let cid = CompiledId(self.code.len() as u32);
-        self.icaches
-            .push(vec![IcEntry::EMPTY; a.meta.num_sites as usize]);
+        self.icaches.push(vec![IcEntry::EMPTY; a.lin.calls.len()]);
         self.code.push(CompiledMethod {
             method: mid,
             level,
             special,
             func: a.func,
-            meta: a.meta,
+            lin: a.lin,
             size_bytes: a.size_bytes,
             binding_fp,
             blocked_until: 0,
@@ -1267,11 +1186,11 @@ impl VmState {
                 }
             }
             self.compile_wall_nanos += wall.elapsed().as_nanos() as u64;
-            // Metadata derivation and shared publication stay outside the
-            // wall timer, as on the serial path.
+            // Lowering and shared publication stay outside the wall timer,
+            // as on the serial path.
             for (k, &j) in to_compile.iter().enumerate() {
                 let outcome = outcomes[k].take().expect("job compiled exactly once");
-                let a = Self::artifact_of(outcome);
+                let a = self.artifact_of(outcome);
                 if let Some(sc) = &self.shared_cache {
                     let r = &reqs[jobs[j]];
                     let fp = binding_fingerprint(r.bindings.as_ref());
@@ -1386,6 +1305,23 @@ impl VmState {
         };
         self.deopt_baseline[mid.index()] = Some(cid);
         cid
+    }
+
+    /// The pc a frame deoptimizing into baseline code `bcid` at `point`
+    /// resumes at. The first deopt to a mid-block point re-lowers the
+    /// baseline with a resume entry for it; entries are only ever appended,
+    /// so pcs of frames already running the old lowering stay valid.
+    pub(crate) fn resume_pc(&mut self, bcid: CompiledId, point: compiler::DeoptPoint) -> u32 {
+        if (point.block, point.op) == (0, 0) {
+            return 0;
+        }
+        let cm = &mut self.code[bcid.index()];
+        if let Some(r) = cm.lin.resume.iter().find(|r| r.0 == point) {
+            return r.1;
+        }
+        let points: Vec<_> = cm.lin.resume.iter().map(|r| r.0).chain([point]).collect();
+        cm.lin = Arc::new(lower(&cm.func, &self.program, &points));
+        cm.lin.resume.last().expect("just lowered with this entry").1
     }
 
     /// Installs `cid` as the one valid general compiled method for `mid`:
@@ -1735,12 +1671,6 @@ impl VmState {
         (v != NO_SITE).then_some(v)
     }
 
-    /// Dense `field -> storage slot` lookup (field-access fast path).
-    #[inline]
-    pub fn field_slot(&self, field: FieldId) -> usize {
-        self.field_slots[field.index()] as usize
-    }
-
     /// Cached `invokespecial` resolution.
     pub fn resolve_special_cached(&mut self, class: ClassId, sel: SelectorId) -> Option<MethodId> {
         if let Some(&m) = self.special_resolution.get(&(class.0, sel.0)) {
@@ -2024,12 +1954,12 @@ impl VmState {
 
     /// Reads a static field.
     pub fn get_static(&self, field: FieldId) -> Value {
-        self.statics[self.field_slot(field)]
+        self.statics[self.program.field(field).slot as usize]
     }
 
     /// Writes a static field (host-side; does not fire patch points).
     pub fn set_static(&mut self, field: FieldId, v: Value) {
-        let slot = self.field_slot(field);
+        let slot = self.program.field(field).slot as usize;
         self.statics[slot] = v;
     }
 

@@ -10,7 +10,7 @@ use dchm_bytecode::value::ObjRef;
 use dchm_bytecode::{ClassId, CmpOp, FieldId, MethodId, MethodSig, ProgramBuilder, Ty, Value};
 use dchm_ir::{Block, Function, Term};
 use dchm_vm::{
-    CodeMeta, CodeSlot, MutationHandler, PatchSpec, RunError, TibId, Vm, VmConfig, VmState,
+    lower, CodeSlot, MutationHandler, PatchSpec, RunError, TibId, Vm, VmConfig, VmState,
 };
 
 /// Flips the stored object's TIB on every state-field write: value 1 means
@@ -161,7 +161,7 @@ fn unreachable_terminator_traps_instead_of_panicking() {
         num_regs: 0,
         arg_count: 0,
     };
-    vm.state.code[cid.index()].meta = Arc::new(CodeMeta::build(&broken));
+    vm.state.code[cid.index()].lin = Arc::new(lower(&broken, &vm.state.program, &[]));
     vm.state.code[cid.index()].func = Arc::new(broken);
 
     assert_eq!(vm.run_entry().unwrap_err(), RunError::UnreachableExecuted);

@@ -594,3 +594,33 @@ fn static_override_redirects_statically_bound_calls() {
     vm.state.set_static_override(f, None);
     assert_eq!(vm.call_static(callf, &[]).unwrap(), Some(Value::Int(1)));
 }
+
+#[test]
+fn call_static_checks_arity_before_touching_the_vm() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("C").build();
+    let mut m = pb.static_method(c, "add", MethodSig::new(vec![Ty::Int, Ty::Int], Some(Ty::Int)));
+    let (a, b) = (m.param(0), m.param(1));
+    let r = m.reg();
+    m.iadd(r, a, b);
+    m.ret(Some(r));
+    let add = m.build();
+    let mut vm = Vm::new(pb.finish().unwrap(), VmConfig::default());
+
+    let one = Value::Int(1);
+    // Too many (was an out-of-range slice panic outside containment) and too
+    // few (silently ran with zero-filled parameters): both are typed errors
+    // that leave the VM exactly as it was — not poisoned, nothing compiled,
+    // no frame, no clock movement.
+    for args in [vec![one; 9], vec![one; 3], vec![one], vec![]] {
+        let err = vm.call_static(add, &args).unwrap_err();
+        let RunError::VmInvariant { what } = &err else {
+            panic!("expected VmInvariant, got {err:?}");
+        };
+        assert!(what.starts_with("call_static arity"), "{what}");
+        assert!(vm.state.frames.is_empty() && vm.state.reg_stack.is_empty());
+        assert!(vm.state.code.is_empty() && !vm.state.poisoned);
+        assert_eq!((vm.cycles(), vm.stats().ops_executed), (0, 0));
+    }
+    assert_eq!(vm.call_static(add, &[one, Value::Int(41)]).unwrap(), Some(Value::Int(42)));
+}

@@ -107,5 +107,9 @@ fn main() {
             general.size(),
             special.size()
         );
+        // What the evaluator actually runs: the flat pre-decoded form with
+        // segment costs folded into calls and terminators.
+        println!("== specialized, lowered ==");
+        print!("{}", dchm::vm::lower(&special, p, &[]));
     }
 }
