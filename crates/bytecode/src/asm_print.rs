@@ -4,12 +4,12 @@
 //! structure and semantics.
 
 use crate::class::{MethodDef, MethodKind, Visibility};
-use crate::ids::{ClassId, FieldId, MethodId};
+use crate::ids::{ClassId, FieldId, MethodId, Reg};
 use crate::instr::{DBinOp, IBinOp, Instr, IntrinsicKind, Op};
 use crate::program::Program;
 use crate::value::{CmpOp, ElemKind, Ty, Value};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 
 /// Renders a whole program as assembly text.
 ///
@@ -43,7 +43,11 @@ pub fn print_asm(p: &Program) -> String {
                 out.push_str(" private");
             }
             if fd.is_static && !matches!(fd.initial, Value::Null) {
-                let _ = write!(out, " {}", value_str(fd.initial));
+                let _ = match fd.initial {
+                    Value::Int(i) => write!(out, " {i}"),
+                    Value::Double(d) => write!(out, " {d:?}"),
+                    Value::Null | Value::Ref(_) => write!(out, " null"),
+                };
             }
             out.push('\n');
         }
@@ -108,7 +112,9 @@ fn print_method(p: &Program, mid: MethodId, out: &mut String) {
         }
         match instr {
             Instr::Op(op) => {
-                let _ = writeln!(out, "  {}", op_str(p, op));
+                out.push_str("  ");
+                let _ = write_op(out, p, op);
+                out.push('\n');
             }
             Instr::Jmp(t) => {
                 let _ = writeln!(out, "  jmp L{}", t.index());
@@ -127,30 +133,21 @@ fn print_method(p: &Program, mid: MethodId, out: &mut String) {
     out.push_str(".end_method\n");
 }
 
-fn ret_str(p: &Program, md: &MethodDef) -> String {
+fn ret_str<'a>(p: &'a Program, md: &MethodDef) -> &'a str {
     match md.sig.ret {
-        None => "void".into(),
+        None => "void",
         Some(t) => ty_str(p, t),
     }
 }
 
-fn ty_str(p: &Program, t: Ty) -> String {
+fn ty_str(p: &Program, t: Ty) -> &str {
     match t {
-        Ty::Int => "int".into(),
-        Ty::Double => "double".into(),
-        Ty::Arr(ElemKind::Int) => "int[]".into(),
-        Ty::Arr(ElemKind::Double) => "double[]".into(),
-        Ty::Arr(ElemKind::Ref) => "ref[]".into(),
-        Ty::Ref(c) => p.class(c).name.clone(),
-    }
-}
-
-fn value_str(v: Value) -> String {
-    match v {
-        Value::Int(i) => i.to_string(),
-        Value::Double(d) => format!("{d:?}"),
-        Value::Null => "null".into(),
-        Value::Ref(_) => "null".into(),
+        Ty::Int => "int",
+        Ty::Double => "double",
+        Ty::Arr(ElemKind::Int) => "int[]",
+        Ty::Arr(ElemKind::Double) => "double[]",
+        Ty::Arr(ElemKind::Ref) => "ref[]",
+        Ty::Ref(c) => &p.class(c).name,
     }
 }
 
@@ -165,25 +162,35 @@ fn cmp_str(c: CmpOp) -> &'static str {
     }
 }
 
-fn field_ref(p: &Program, f: FieldId) -> String {
-    let fd = p.field(f);
-    format!("{}.{}", p.class(fd.owner).name, fd.name)
+/// `Owner.name` of a field.
+struct FieldRef<'a>(&'a Program, FieldId);
+
+impl Display for FieldRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fd = self.0.field(self.1);
+        write!(f, "{}.{}", self.0.class(fd.owner).name, fd.name)
+    }
 }
 
-fn regs_str(rs: &[crate::ids::Reg]) -> String {
-    rs.iter()
-        .map(|r| format!("r{}", r.0))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// A register list `r1, r2`, led by the given separator unless empty.
+struct Regs<'a>(&'static str, &'a [Reg]);
+
+impl Display for Regs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, r) in self.1.iter().enumerate() {
+            write!(f, "{}r{}", if i == 0 { self.0 } else { ", " }, r.0)?;
+        }
+        Ok(())
+    }
 }
 
 #[allow(clippy::too_many_lines)]
-fn op_str(p: &Program, op: &Op) -> String {
+fn write_op(out: &mut String, p: &Program, op: &Op) -> fmt::Result {
     match op {
-        Op::ConstI { dst, val } => format!("consti r{}, {val}", dst.0),
-        Op::ConstD { dst, val } => format!("constd r{}, {val:?}", dst.0),
-        Op::ConstNull { dst } => format!("constnull r{}", dst.0),
-        Op::Mov { dst, src } => format!("mov r{}, r{}", dst.0, src.0),
+        Op::ConstI { dst, val } => write!(out, "consti r{}, {val}", dst.0),
+        Op::ConstD { dst, val } => write!(out, "constd r{}, {val:?}", dst.0),
+        Op::ConstNull { dst } => write!(out, "constnull r{}", dst.0),
+        Op::Mov { dst, src } => write!(out, "mov r{}, r{}", dst.0, src.0),
         Op::IBin { op, dst, a, b } => {
             let name = match op {
                 IBinOp::Add => "iadd",
@@ -197,9 +204,9 @@ fn op_str(p: &Program, op: &Op) -> String {
                 IBinOp::Shl => "ishl",
                 IBinOp::Shr => "ishr",
             };
-            format!("{name} r{}, r{}, r{}", dst.0, a.0, b.0)
+            write!(out, "{name} r{}, r{}, r{}", dst.0, a.0, b.0)
         }
-        Op::INeg { dst, a } => format!("ineg r{}, r{}", dst.0, a.0),
+        Op::INeg { dst, a } => write!(out, "ineg r{}, r{}", dst.0, a.0),
         Op::DBin { op, dst, a, b } => {
             let name = match op {
                 DBinOp::Add => "dadd",
@@ -207,48 +214,37 @@ fn op_str(p: &Program, op: &Op) -> String {
                 DBinOp::Mul => "dmul",
                 DBinOp::Div => "ddiv",
             };
-            format!("{name} r{}, r{}, r{}", dst.0, a.0, b.0)
+            write!(out, "{name} r{}, r{}, r{}", dst.0, a.0, b.0)
         }
-        Op::DNeg { dst, a } => format!("dneg r{}, r{}", dst.0, a.0),
-        Op::I2D { dst, a } => format!("i2d r{}, r{}", dst.0, a.0),
-        Op::D2I { dst, a } => format!("d2i r{}, r{}", dst.0, a.0),
+        Op::DNeg { dst, a } => write!(out, "dneg r{}, r{}", dst.0, a.0),
+        Op::I2D { dst, a } => write!(out, "i2d r{}, r{}", dst.0, a.0),
+        Op::D2I { dst, a } => write!(out, "d2i r{}, r{}", dst.0, a.0),
         Op::ICmp { op, dst, a, b } => {
-            format!("icmp {}, r{}, r{}, r{}", cmp_str(*op), dst.0, a.0, b.0)
+            write!(out, "icmp {}, r{}, r{}, r{}", cmp_str(*op), dst.0, a.0, b.0)
         }
         Op::DCmp { op, dst, a, b } => {
-            format!("dcmp {}, r{}, r{}, r{}", cmp_str(*op), dst.0, a.0, b.0)
+            write!(out, "dcmp {}, r{}, r{}, r{}", cmp_str(*op), dst.0, a.0, b.0)
         }
-        Op::RefEq { dst, a, b } => format!("refeq r{}, r{}, r{}", dst.0, a.0, b.0),
-        Op::New { dst, class } => format!("new r{}, {}", dst.0, p.class(*class).name),
+        Op::RefEq { dst, a, b } => write!(out, "refeq r{}, r{}, r{}", dst.0, a.0, b.0),
+        Op::New { dst, class } => write!(out, "new r{}, {}", dst.0, p.class(*class).name),
         Op::GetField { dst, obj, field } => {
-            format!("getfield r{}, r{}, {}", dst.0, obj.0, field_ref(p, *field))
+            write!(out, "getfield r{}, r{}, {}", dst.0, obj.0, FieldRef(p, *field))
         }
         Op::PutField { obj, field, src } => {
-            format!("putfield r{}, {}, r{}", obj.0, field_ref(p, *field), src.0)
+            write!(out, "putfield r{}, {}, r{}", obj.0, FieldRef(p, *field), src.0)
         }
         Op::GetStatic { dst, field } => {
-            format!("getstatic r{}, {}", dst.0, field_ref(p, *field))
+            write!(out, "getstatic r{}, {}", dst.0, FieldRef(p, *field))
         }
         Op::PutStatic { field, src } => {
-            format!("putstatic {}, r{}", field_ref(p, *field), src.0)
+            write!(out, "putstatic {}, r{}", FieldRef(p, *field), src.0)
         }
         Op::CallVirtual { dst, sel, obj, args } => {
             let name = p.selector_name(*sel);
+            let tail = Regs(", ", args);
             match dst {
-                Some(d) => {
-                    if args.is_empty() {
-                        format!("callvirtual r{}, r{}, {name}", d.0, obj.0)
-                    } else {
-                        format!("callvirtual r{}, r{}, {name}, {}", d.0, obj.0, regs_str(args))
-                    }
-                }
-                None => {
-                    if args.is_empty() {
-                        format!("callvirtual_v r{}, {name}", obj.0)
-                    } else {
-                        format!("callvirtual_v r{}, {name}, {}", obj.0, regs_str(args))
-                    }
-                }
+                Some(d) => write!(out, "callvirtual r{}, r{}, {name}{tail}", d.0, obj.0),
+                None => write!(out, "callvirtual_v r{}, {name}{tail}", obj.0),
             }
         }
         Op::CallSpecial {
@@ -261,32 +257,20 @@ fn op_str(p: &Program, op: &Op) -> String {
             let cname = &p.class(*class).name;
             let mname = p.selector_name(*sel);
             if mname == crate::builder::CTOR_NAME {
-                if args.is_empty() {
-                    return format!("callctor r{}, {cname}", obj.0);
-                }
-                return format!("callctor r{}, {cname}, {}", obj.0, regs_str(args));
+                return write!(out, "callctor r{}, {cname}{}", obj.0, Regs(", ", args));
             }
-            let tail = if args.is_empty() {
-                String::new()
-            } else {
-                format!(" {}", regs_str(args))
-            };
+            let tail = Regs(" ", args);
             match dst {
-                Some(d) => format!("callspecial r{}, {cname}, {mname}, r{}{tail}", d.0, obj.0),
-                None => format!("callspecial_v {cname}, {mname}, r{}{tail}", obj.0),
+                Some(d) => write!(out, "callspecial r{}, {cname}, {mname}, r{}{tail}", d.0, obj.0),
+                None => write!(out, "callspecial_v {cname}, {mname}, r{}{tail}", obj.0),
             }
         }
         Op::CallStatic { dst, method, args } => {
             let md = p.method(*method);
-            let target = format!("{}.{}", p.class(md.owner).name, md.name);
-            let tail = if args.is_empty() {
-                String::new()
-            } else {
-                format!(", {}", regs_str(args))
-            };
+            let (cname, mname, tail) = (&p.class(md.owner).name, &md.name, Regs(", ", args));
             match dst {
-                Some(d) => format!("callstatic r{}, {target}{tail}", d.0),
-                None => format!("callstatic_v {target}{tail}"),
+                Some(d) => write!(out, "callstatic r{}, {cname}.{mname}{tail}", d.0),
+                None => write!(out, "callstatic_v {cname}.{mname}{tail}"),
             }
         }
         Op::CallInterface {
@@ -298,21 +282,19 @@ fn op_str(p: &Program, op: &Op) -> String {
         } => {
             let iname = &p.class(*iface).name;
             let mname = p.selector_name(*sel);
-            let tail = if args.is_empty() {
-                String::new()
-            } else {
-                format!(", {}", regs_str(args))
-            };
+            let tail = Regs(", ", args);
             match dst {
-                Some(d) => format!("callinterface r{}, {iname}, {mname}, r{}{tail}", d.0, obj.0),
-                None => format!("callinterface_v {iname}, {mname}, r{}{tail}", obj.0),
+                Some(d) => {
+                    write!(out, "callinterface r{}, {iname}, {mname}, r{}{tail}", d.0, obj.0)
+                }
+                None => write!(out, "callinterface_v {iname}, {mname}, r{}{tail}", obj.0),
             }
         }
         Op::InstanceOf { dst, obj, class } => {
-            format!("instanceof r{}, r{}, {}", dst.0, obj.0, p.class(*class).name)
+            write!(out, "instanceof r{}, r{}, {}", dst.0, obj.0, p.class(*class).name)
         }
         Op::CheckCast { obj, class } => {
-            format!("checkcast r{}, {}", obj.0, p.class(*class).name)
+            write!(out, "checkcast r{}, {}", obj.0, p.class(*class).name)
         }
         Op::NewArr { dst, kind, len } => {
             let k = match kind {
@@ -320,11 +302,11 @@ fn op_str(p: &Program, op: &Op) -> String {
                 ElemKind::Double => "double",
                 ElemKind::Ref => "ref",
             };
-            format!("newarr r{}, {k}, r{}", dst.0, len.0)
+            write!(out, "newarr r{}, {k}, r{}", dst.0, len.0)
         }
-        Op::ALoad { dst, arr, idx } => format!("aload r{}, r{}, r{}", dst.0, arr.0, idx.0),
-        Op::AStore { arr, idx, src } => format!("astore r{}, r{}, r{}", arr.0, idx.0, src.0),
-        Op::ALen { dst, arr } => format!("alen r{}, r{}", dst.0, arr.0),
+        Op::ALoad { dst, arr, idx } => write!(out, "aload r{}, r{}, r{}", dst.0, arr.0, idx.0),
+        Op::AStore { arr, idx, src } => write!(out, "astore r{}, r{}, r{}", arr.0, idx.0, src.0),
+        Op::ALen { dst, arr } => write!(out, "alen r{}, r{}", dst.0, arr.0),
         Op::Intrinsic { dst, kind, args } => {
             let (name, needs_dst) = match kind {
                 IntrinsicKind::PrintInt => ("printint", false),
@@ -339,13 +321,10 @@ fn op_str(p: &Program, op: &Op) -> String {
                 IntrinsicKind::IMax => ("imax", true),
             };
             if needs_dst {
-                format!(
-                    "{name} r{}, {}",
-                    dst.map(|d| d.0).unwrap_or(0),
-                    regs_str(args)
-                )
+                let d = dst.map(|d| d.0).unwrap_or(0);
+                write!(out, "{name} r{d}, {}", Regs("", args))
             } else {
-                format!("{name} {}", regs_str(args))
+                write!(out, "{name} {}", Regs("", args))
             }
         }
         Op::NotifyCtorExit { .. }
@@ -353,7 +332,7 @@ fn op_str(p: &Program, op: &Op) -> String {
         | Op::NotifyStaticStore { .. }
         | Op::GuardState { .. } => {
             // Compiler-internal; never present in frontend programs.
-            "; <compiler pseudo-op: not printable>".into()
+            out.write_str("; <compiler pseudo-op: not printable>")
         }
     }
 }
@@ -433,5 +412,71 @@ mod tests {
         let p2 = assemble(&t1).unwrap();
         let t2 = print_asm(&p2);
         assert_eq!(t1, t2, "printing must be stable after one round trip");
+    }
+
+    /// Already in printed form, covering the argument-list shapes (note
+    /// `callspecial`'s space before its arguments) and the value-returning
+    /// intrinsics.
+    const CANON: &str = "\
+.interface Shape
+.amethod area int int
+.end
+
+.class Base
+.field x int private
+.sfield scale double 1.5
+.ctor int
+  putfield r0, Base.x, r1
+  ret
+.end_method
+.method area int int
+  getfield r2, r0, Base.x
+  ineg r3, r2
+  ishl r3, r3, r1
+  imin r3, r2, r3
+  ret r3
+.end_method
+.method grow void int int
+  ret
+.end_method
+.end
+
+.class Derived extends Base implements Shape
+.ctor int
+  callctor r0, Base, r1
+  ret
+.end_method
+.method area int int
+  callspecial r2, Base, area, r0 r1
+  callspecial_v Base, grow, r0 r1, r2
+  ret r2
+.end_method
+.end
+
+.class Main
+.smethod main int
+  new r0, Derived
+  consti r1, 5
+  callctor r0, Derived, r1
+  callinterface r2, Shape, area, r0, r1
+  callvirtual_v r0, grow, r1, r2
+  instanceof r3, r0, Base
+  getstatic r4, Base.scale
+  dneg r4, r4
+  dsqrt r4, r4
+  d2i r5, r4
+  printint r5
+  printdouble r4
+  printchar r1
+  ret r2
+.end_method
+.end
+
+.entry Main.main
+";
+
+    #[test]
+    fn printed_form_reprints_byte_for_byte() {
+        assert_eq!(print_asm(&assemble(CANON).unwrap()), CANON);
     }
 }

@@ -76,6 +76,131 @@ pub struct FieldScore {
     pub score: f64,
 }
 
+/// One EQ 1 site: `field` is branch-tested or assigned at 1-based loop
+/// depth `depth` in method number `method`.
+#[derive(Clone, Copy, Debug)]
+struct Site {
+    field: FieldId,
+    method: usize,
+    depth: f64,
+}
+
+/// The hotness-independent half of EQ 1: every branch-use and assignment
+/// site of every field, in program order (so per-field sums are taken in
+/// one fixed order whatever the caller).
+#[derive(Clone, Debug, Default)]
+pub struct FieldSites {
+    uses: Vec<Site>,
+    assigns: Vec<Site>,
+}
+
+impl FieldSites {
+    /// Walks every method once.
+    pub fn scan(program: &Program) -> Self {
+        let mut sites = FieldSites::default();
+        for (method, md) in program.methods.iter().enumerate() {
+            if md.code.is_empty() {
+                continue;
+            }
+            let nesting = loop_nesting(&md.code);
+            // Taint: which register currently holds which field's value.
+            let mut taint: HashMap<Reg, FieldId> = HashMap::new();
+            for (at, instr) in md.code.iter().enumerate() {
+                let depth = (nesting.nesting[at] + 1) as f64;
+                let site = |field| Site { field, method, depth };
+                match instr {
+                    Instr::Op(op) => {
+                        // Branch uses: a compare consuming a field-tainted reg.
+                        match op {
+                            Op::ICmp { a, b, .. } | Op::DCmp { a, b, .. } => {
+                                for r in [a, b] {
+                                    sites.uses.extend(taint.get(r).copied().map(site));
+                                }
+                            }
+                            Op::PutField { field, .. } | Op::PutStatic { field, .. }
+                                // Constructor self-initialization is expected and
+                                // cheap; the paper's "assignment in a cold
+                                // function" penalty targets steady-state writes.
+                                if md.kind != MethodKind::Constructor => {
+                                    sites.assigns.push(site(*field));
+                                }
+                            _ => {}
+                        }
+                        // Taint transfer.
+                        match op {
+                            Op::GetField { dst, field, .. } | Op::GetStatic { dst, field } => {
+                                taint.insert(*dst, *field);
+                            }
+                            Op::Mov { dst, src } => {
+                                match taint.get(src).copied() {
+                                    Some(f) => {
+                                        taint.insert(*dst, f);
+                                    }
+                                    None => {
+                                        taint.remove(dst);
+                                    }
+                                }
+                            }
+                            _ => {
+                                if let Some(d) = op.def() {
+                                    taint.remove(&d);
+                                }
+                            }
+                        }
+                    }
+                    // Direct branch on a (boolean) field value.
+                    Instr::BrIf { cond, .. } => {
+                        sites.uses.extend(taint.get(cond).copied().map(site));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        sites
+    }
+
+    /// Every field with a branch-use site (repeats included): exactly the
+    /// fields [`Self::score`] can return under any hotness and any
+    /// `min_score`, hence the set a profiling run made *before* hotness is
+    /// known has to watch.
+    pub fn branch_tested(&self) -> impl Iterator<Item = FieldId> + '_ {
+        self.uses.iter().map(|s| s.field)
+    }
+
+    /// The hotness-dependent half of EQ 1: fields scoring at least
+    /// `cfg.min_score`, best first.
+    pub fn score(
+        &self,
+        program: &Program,
+        hot: &HotMethodReport,
+        cfg: &AnalysisConfig,
+    ) -> Vec<FieldScore> {
+        let h = |s: &Site| hot.hotness.get(s.method).copied().unwrap_or(0.0);
+        let mut uses: HashMap<FieldId, f64> = HashMap::new();
+        for s in self.uses.iter().filter(|s| h(s) >= cfg.min_method_hotness) {
+            *uses.entry(s.field).or_insert(0.0) += s.depth * h(s);
+        }
+        let mut assigns: HashMap<FieldId, f64> = HashMap::new();
+        for s in &self.assigns {
+            *assigns.entry(s.field).or_insert(0.0) += s.depth * h(s).max(1e-6);
+        }
+        let mut out: Vec<FieldScore> = uses
+            .into_iter()
+            .map(|(field, u)| {
+                let a = assigns.get(&field).copied().unwrap_or(0.0);
+                FieldScore {
+                    field,
+                    owner: program.field(field).owner,
+                    score: u - cfg.r * a,
+                }
+            })
+            .filter(|fs| fs.score >= cfg.min_score)
+            .collect();
+        out.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.field.cmp(&b.field)));
+        out
+    }
+}
+
 /// Runs EQ 1 over the whole program; returns fields scoring at least
 /// `cfg.min_score`, best first.
 pub fn find_state_fields(
@@ -83,90 +208,7 @@ pub fn find_state_fields(
     hot: &HotMethodReport,
     cfg: &AnalysisConfig,
 ) -> Vec<FieldScore> {
-    let mut uses: HashMap<FieldId, f64> = HashMap::new();
-    let mut assigns: HashMap<FieldId, f64> = HashMap::new();
-
-    for (mi, md) in program.methods.iter().enumerate() {
-        if md.code.is_empty() {
-            continue;
-        }
-        let h = hot.hotness.get(mi).copied().unwrap_or(0.0);
-        let nesting = loop_nesting(&md.code);
-        // Taint: which register currently holds which field's value.
-        let mut taint: HashMap<Reg, FieldId> = HashMap::new();
-        for (at, instr) in md.code.iter().enumerate() {
-            let depth = (nesting.nesting[at] + 1) as f64;
-            match instr {
-                Instr::Op(op) => {
-                    // Branch uses: a compare consuming a field-tainted reg.
-                    match op {
-                        Op::ICmp { a, b, .. } | Op::DCmp { a, b, .. } => {
-                            for r in [a, b] {
-                                if let Some(&f) = taint.get(r) {
-                                    if h >= cfg.min_method_hotness {
-                                        *uses.entry(f).or_insert(0.0) += depth * h;
-                                    }
-                                }
-                            }
-                        }
-                        Op::PutField { field, .. } | Op::PutStatic { field, .. }
-                            // Constructor self-initialization is expected and
-                            // cheap; the paper's "assignment in a cold
-                            // function" penalty targets steady-state writes.
-                            if md.kind != MethodKind::Constructor => {
-                                *assigns.entry(*field).or_insert(0.0) += depth * h.max(1e-6);
-                            }
-                        _ => {}
-                    }
-                    // Taint transfer.
-                    match op {
-                        Op::GetField { dst, field, .. } | Op::GetStatic { dst, field } => {
-                            taint.insert(*dst, *field);
-                        }
-                        Op::Mov { dst, src } => {
-                            match taint.get(src).copied() {
-                                Some(f) => {
-                                    taint.insert(*dst, f);
-                                }
-                                None => {
-                                    taint.remove(dst);
-                                }
-                            }
-                        }
-                        _ => {
-                            if let Some(d) = op.def() {
-                                taint.remove(&d);
-                            }
-                        }
-                    }
-                }
-                Instr::BrIf { cond, .. } => {
-                    // Direct branch on a (boolean) field value.
-                    if let Some(&f) = taint.get(cond) {
-                        if h >= cfg.min_method_hotness {
-                            *uses.entry(f).or_insert(0.0) += depth * h;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    let mut out: Vec<FieldScore> = uses
-        .into_iter()
-        .map(|(field, u)| {
-            let a = assigns.get(&field).copied().unwrap_or(0.0);
-            FieldScore {
-                field,
-                owner: program.field(field).owner,
-                score: u - cfg.r * a,
-            }
-        })
-        .filter(|fs| fs.score >= cfg.min_score)
-        .collect();
-    out.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.field.cmp(&b.field)));
-    out
+    FieldSites::scan(program).score(program, hot, cfg)
 }
 
 /// True if `method` reads `field` anywhere in its body.
@@ -210,8 +252,16 @@ pub fn build_plan(
     values: &ValueReport,
     cfg: &AnalysisConfig,
 ) -> MutationPlan {
-    let scored = find_state_fields(program, hot, cfg);
+    plan_from_scores(program, find_state_fields(program, hot, cfg), values, cfg)
+}
 
+/// [`build_plan`] from already-scored state fields.
+pub(crate) fn plan_from_scores(
+    program: &Program,
+    scored: Vec<FieldScore>,
+    values: &ValueReport,
+    cfg: &AnalysisConfig,
+) -> MutationPlan {
     // Attribute each state field to the classes whose *own* methods depend
     // on it: instance fields to subclasses of the owner reading through
     // `this` (those reads specialize), static fields to any class with a

@@ -44,7 +44,7 @@ pub mod pipeline;
 pub mod plan;
 pub mod synth;
 
-pub use analysis::{build_plan, find_state_fields, AnalysisConfig};
+pub use analysis::{build_plan, find_state_fields, AnalysisConfig, FieldSites};
 pub use engine::MutationEngine;
 pub use olc::{analyze_olc, OlcReport};
 pub use online::{OnlineSession, Phase};

@@ -1,17 +1,22 @@
 //! The end-to-end offline pipeline (paper Figure 3):
 //!
-//! 1. identify hot methods (profiling run #1),
-//! 2. derive state fields for hot classes (EQ 1 static analysis),
-//! 3. find hot states (profiling run #2 with value sampling),
+//! 1. collect each field's branch-use and assignment sites (the
+//!    hotness-independent half of the EQ 1 static analysis),
+//! 2. profile once: hot methods, and values stored to branch-tested fields,
+//! 3. score the sites (EQ 1); the state fields' histograms give hot states,
 //! 4. run object-lifetime-constant analysis,
 //! 5. feed everything into a fresh VM at startup.
+//!
+//! The paper profiles twice because it had two tools. Here one VM yields
+//! both artifacts, and EQ 1 can only pick a branch-tested field, so a run
+//! watching all of those observes exactly what a second run would have.
 
-use crate::analysis::{build_plan, find_state_fields, AnalysisConfig};
+use crate::analysis::{plan_from_scores, AnalysisConfig, FieldSites};
 use crate::engine::MutationEngine;
 use crate::olc::{analyze_olc, OlcReport};
 use crate::plan::MutationPlan;
 use dchm_bytecode::Program;
-use dchm_profile::{profile_field_values, profile_hot_methods, HotMethodReport};
+use dchm_profile::{profile, HotMethodReport};
 use dchm_vm::{SharedCodeCache, Vm, VmConfig};
 use std::sync::Arc;
 
@@ -20,7 +25,7 @@ use std::sync::Arc;
 pub struct PipelineConfig {
     /// Static-analysis tunables (EQ 1 parameters, state caps).
     pub analysis: AnalysisConfig,
-    /// VM configuration used for the two profiling runs.
+    /// VM configuration used for the profiling run.
     pub profile_vm: VmConfig,
 }
 
@@ -33,7 +38,7 @@ pub struct Prepared {
     pub plan: MutationPlan,
     /// Object-lifetime-constant analysis results.
     pub olc: OlcReport,
-    /// Hot-method profile from run #1 (diagnostics).
+    /// Hot-method profile of the profiling run (diagnostics).
     pub hot: HotMethodReport,
 }
 
@@ -64,24 +69,25 @@ impl Prepared {
 }
 
 /// Runs the offline pipeline. `driver` runs the workload on a profiling VM
-/// and is invoked twice (hot-method run, value-sampling run).
+/// and is invoked exactly once.
 pub fn prepare(
     program: Program,
     cfg: &PipelineConfig,
-    driver: impl Fn(&mut Vm),
+    driver: impl FnOnce(&mut Vm),
 ) -> Prepared {
-    // Step 1: hot methods.
-    let hot = profile_hot_methods(program.clone(), cfg.profile_vm.clone(), &driver);
-    // Step 2: candidate state fields.
-    let candidates = find_state_fields(&program, &hot, &cfg.analysis);
-    // Step 3: value sampling on the candidates.
-    let values = profile_field_values(
-        program.clone(),
-        cfg.profile_vm.clone(),
-        candidates.iter().map(|c| c.field),
-        &driver,
-    );
-    let plan = build_plan(&program, &hot, &values, &cfg.analysis);
+    // Step 1: EQ 1 sites; the branch-tested fields are the watch set.
+    let sites = FieldSites::scan(&program);
+    // Step 2: the profiling run; its cycle-attribution profile would be
+    // dropped unread, and that profiler is clock-transparent.
+    let profile_vm = VmConfig {
+        profile_period: 0,
+        ..cfg.profile_vm.clone()
+    };
+    let (hot, mut values) = profile(program.clone(), profile_vm, sites.branch_tested(), driver);
+    // Step 3: state fields, and what a run watching only them would report.
+    let candidates = sites.score(&program, &hot, &cfg.analysis);
+    values.retain_fields(|f| candidates.iter().any(|c| c.field == f));
+    let plan = plan_from_scores(&program, candidates, &values, &cfg.analysis);
     // Step 4: OLC analysis restricted to the mutable classes.
     let targets = plan.classes.iter().map(|c| c.class).collect();
     let olc = analyze_olc(&program, Some(&targets));

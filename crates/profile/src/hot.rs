@@ -61,7 +61,8 @@ impl HotMethodReport {
     }
 }
 
-/// Runs `driver` on a fresh mutation-off VM and reports method hotness.
+/// Runs `driver` on a fresh mutation-off VM and reports method hotness:
+/// [`crate::profile`] watching no field.
 ///
 /// The driver receives the VM and runs the workload (usually
 /// `vm.run_entry()` or a sequence of `call_static`s).
@@ -70,9 +71,7 @@ pub fn profile_hot_methods(
     config: VmConfig,
     driver: impl FnOnce(&mut Vm),
 ) -> HotMethodReport {
-    let mut vm = Vm::new(program, config);
-    driver(&mut vm);
-    HotMethodReport::from_vm(&vm)
+    crate::profile(program, config, [], driver).0
 }
 
 #[cfg(test)]

@@ -90,6 +90,13 @@ impl ValueReport {
         self.fields.get(&f).cloned().unwrap_or_default()
     }
 
+    /// Drops every field `keep` rejects, leaving the report a run watching
+    /// only the kept fields would have produced.
+    pub fn retain_fields(&mut self, keep: impl Fn(FieldId) -> bool) {
+        self.fields.retain(|f, _| keep(*f));
+        self.by_class.retain(|(_, f), _| keep(*f));
+    }
+
     /// Records an observation of an instance field on `class` (heap census).
     pub fn add_instance(&mut self, class: ClassId, field: FieldId, value: Value, count: u64) {
         self.fields.entry(field).or_default().add(value, count);
@@ -122,6 +129,12 @@ impl ValueProfiler {
     pub fn report(&self) -> ValueReport {
         self.store.borrow().clone()
     }
+
+    /// Moves the collected report out, leaving this profiler's store empty
+    /// (a wide run's histograms are too big to copy for nothing).
+    pub fn take_report(&self) -> ValueReport {
+        self.store.take()
+    }
 }
 
 impl VmObserver for ValueProfiler {
@@ -145,19 +158,15 @@ impl VmObserver for ValueProfiler {
     }
 }
 
-/// Runs `driver` with a value profiler attached and returns the report.
+/// Runs `driver` with a value profiler attached and returns the report:
+/// the value half of [`crate::profile`].
 pub fn profile_field_values(
     program: Program,
     config: VmConfig,
     fields: impl IntoIterator<Item = FieldId>,
     driver: impl FnOnce(&mut Vm),
 ) -> ValueReport {
-    let profiler = ValueProfiler::new(fields);
-    let report_handle = profiler.clone();
-    let mut vm = Vm::new(program, config);
-    vm.attach_observer(Box::new(profiler));
-    driver(&mut vm);
-    report_handle.report()
+    crate::profile(program, config, fields, driver).1
 }
 
 #[cfg(test)]

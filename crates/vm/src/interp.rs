@@ -81,11 +81,15 @@ impl Vm {
         self.handler = handler;
     }
 
-    /// Attaches a profiling observer; its watch set is captured now.
+    /// Attaches a profiling observer; its watch set is captured now. Ids
+    /// that name no field of this program are ignored: nothing here can
+    /// store to them.
     pub fn attach_observer(&mut self, obs: Box<dyn VmObserver>) {
         let mut watched = vec![false; self.state.program.fields.len()];
         for f in obs.watched_fields() {
-            watched[f.index()] = true;
+            if let Some(w) = watched.get_mut(f.index()) {
+                *w = true;
+            }
         }
         self.watched = watched;
         self.observer = Some(obs);

@@ -5,7 +5,8 @@ use dchm_bytecode::value::ObjRef;
 use dchm_bytecode::{
     ClassId, CmpOp, FieldId, MethodId, MethodSig, ProgramBuilder, Ty, Value,
 };
-use dchm_vm::{MutationHandler, PatchSpec, RunError, Vm, VmConfig, VmState};
+use dchm_vm::{MutationHandler, PatchSpec, RunError, Vm, VmConfig, VmObserver, VmState};
+use std::collections::HashSet;
 
 fn run_main(
     build: impl FnOnce(&mut ProgramBuilder) -> MethodId,
@@ -623,4 +624,37 @@ fn call_static_checks_arity_before_touching_the_vm() {
         assert_eq!((vm.cycles(), vm.stats().ops_executed), (0, 0));
     }
     assert_eq!(vm.call_static(add, &[one, Value::Int(41)]).unwrap(), Some(Value::Int(42)));
+}
+
+#[test]
+fn observer_watching_a_foreign_field_id_is_ignored() {
+    struct Watch(HashSet<FieldId>, std::rc::Rc<std::cell::Cell<u32>>);
+    impl VmObserver for Watch {
+        fn watched_fields(&self) -> HashSet<FieldId> {
+            self.0.clone()
+        }
+        fn on_instance_store(&mut self, _: ClassId, _: FieldId, _: Value) {}
+        fn on_static_store(&mut self, _: FieldId, _: Value) {
+            self.1.set(self.1.get() + 1);
+        }
+    }
+
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("C").build();
+    let f = pb.static_field(c, "s", Ty::Int, 0i64.into());
+    let mut m = pb.static_method(c, "main", MethodSig::void());
+    let v = m.imm(5);
+    m.put_static(f, v);
+    m.ret(None);
+    let main = m.build();
+    pb.set_entry(main);
+    let mut vm = Vm::new(pb.finish().unwrap(), VmConfig::default());
+
+    // An id from a larger program (was an out-of-range index panic at
+    // attach, outside containment); the in-range one is still watched.
+    let stores = std::rc::Rc::new(std::cell::Cell::new(0));
+    let foreign = FieldId::from_index(1000);
+    vm.attach_observer(Box::new(Watch(HashSet::from([f, foreign]), stores.clone())));
+    vm.run_entry().unwrap();
+    assert_eq!(stores.get(), 1);
 }
