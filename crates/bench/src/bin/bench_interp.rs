@@ -48,18 +48,19 @@ const SEED_OPS_PER_SEC: &[(&str, f64)] = &[
     ("SPECjbb2005", 101876591.0),
 ];
 
-/// The rates committed in `BENCH_interp.json` immediately before the
-/// evaluator moved from walking IR blocks to the lowered linear form (PR 11
-/// tree, same harness, same reference machine): the `prev_ops_per_sec`
-/// column, so the file reads as a trajectory seed -> prev -> now.
+/// The rates committed in `BENCH_interp.json` immediately before the linear
+/// form got its fused instruction forms (PR 14 tree: one dispatch per IR op
+/// but for `ICmpBr`; same harness, same reference machine): the
+/// `prev_ops_per_sec` column, so the file reads as a trajectory
+/// seed -> prev -> now.
 const PREV_OPS_PER_SEC: &[(&str, f64)] = &[
-    ("SalaryDB", 100459453.0),
-    ("SimLogic", 118641049.0),
-    ("CSVToXML", 152571335.0),
-    ("Java2XHTML", 165724764.0),
-    ("Weka", 176977246.0),
-    ("SPECjbb2000", 124980747.0),
-    ("SPECjbb2005", 140018205.0),
+    ("SalaryDB", 147849234.0),
+    ("SimLogic", 160686645.0),
+    ("CSVToXML", 214181738.0),
+    ("Java2XHTML", 223182269.0),
+    ("Weka", 220435474.0),
+    ("SPECjbb2000", 165970311.0),
+    ("SPECjbb2005", 191828921.0),
 ];
 
 struct Row {

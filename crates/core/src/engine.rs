@@ -222,14 +222,13 @@ impl MutationEngine {
     ///    class whose fields match a hot state gets its TIB flipped now;
     /// 4. becomes the VM's mutation handler.
     ///
+    /// Runs between calls only (there is no on-stack replacement): frames a
+    /// trapped call left for post-mortem are dropped first.
+    ///
     /// # Panics
-    /// Panics if the VM is mid-call (frames on the stack) or the engine was
-    /// already installed.
+    /// Panics if the engine was already installed.
     pub fn install_online(mut self, vm: &mut Vm) {
-        assert!(
-            vm.state.frames.is_empty(),
-            "install_online between calls only (no on-stack replacement)"
-        );
+        vm.state.drop_frames();
         self.install(&mut vm.state);
 
         // Re-instrument affected compiled methods.

@@ -147,6 +147,21 @@ impl Heap {
         self.used_bytes + bytes > self.capacity
     }
 
+    /// Accounted size of an array of `len` elements (a negative length
+    /// counts as empty; allocating it fails later, by type).
+    ///
+    /// # Errors
+    /// [`RunError::OutOfMemory`] when the size, or the heap's running total
+    /// with it, does not fit `usize`: no collection could make room, so
+    /// callers fail before collecting or charging for it.
+    pub fn array_bytes(&self, len: i64) -> Result<usize, RunError> {
+        usize::try_from(len.max(0))
+            .ok()
+            .and_then(|n| n.checked_mul(SLOT_BYTES)?.checked_add(HEADER_BYTES))
+            .filter(|&bytes| self.used_bytes.checked_add(bytes).is_some())
+            .ok_or(RunError::OutOfMemory { requested: usize::MAX, heap: self.capacity })
+    }
+
     fn take_slot(&mut self, cell: Cell, bytes: usize) -> ObjRef {
         self.used_bytes += bytes;
         self.stats.allocations += 1;
@@ -193,8 +208,8 @@ impl Heap {
         if len < 0 {
             return Err(RunError::NegativeArraySize(len));
         }
+        let bytes = self.array_bytes(len)?;
         let len = len as usize;
-        let bytes = obj_bytes(len);
         if self.used_bytes + bytes > self.capacity {
             return Err(RunError::OutOfMemory {
                 requested: bytes,

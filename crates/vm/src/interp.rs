@@ -163,14 +163,16 @@ impl Vm {
     /// [`RunError::VmInvariant`] — with the VM untouched — when `args` does
     /// not match the method's parameter count.
     ///
+    /// A trap leaves its frames and their registers in place for
+    /// post-mortem inspection; they are dropped here, on the next call.
+    ///
     /// # Panics
-    /// Panics if called re-entrantly (frames not empty) or if `mid` is not
-    /// a static method.
+    /// Panics if `mid` is not a static method.
     pub fn call_static(&mut self, mid: MethodId, args: &[Value]) -> Result<Option<Value>, RunError> {
         if self.state.poisoned {
             return Err(RunError::Poisoned);
         }
-        assert!(self.state.frames.is_empty(), "re-entrant call_static");
+        self.state.drop_frames();
         assert_eq!(
             self.state.program.method(mid).kind,
             MethodKind::Static,
@@ -209,8 +211,7 @@ impl Vm {
             Ok(r) => r,
             Err(payload) => {
                 self.state.poisoned = true;
-                self.state.frames.clear();
-                self.state.reg_stack.clear();
+                self.state.drop_frames();
                 let what = payload
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_string())
@@ -333,6 +334,46 @@ impl Vm {
                         }
                     }};
                 }
+                // The fused forms (see `crate::linear`). An immediate form
+                // writes its constant and steps over the consumer's slot,
+                // so a trap charges the prefix through the consumer.
+                macro_rules! imm {
+                    ($k:expr, $v:expr) => {{
+                        reg!($k) = $v;
+                        pc += 1;
+                    }};
+                }
+                macro_rules! ibin {
+                    ($op:expr, $dst:expr, $a:expr, $b:expr) => {{
+                        let r = match $op.eval(reg!($a).as_int(), $b) {
+                            Some(r) => r,
+                            None => trap!(RunError::DivideByZero),
+                        };
+                        reg!($dst) = Value::Int(r);
+                    }};
+                }
+                // A compare and the `Br` in the slot after it.
+                macro_rules! cmp_br {
+                    ($op:expr, $dst:expr, $a:expr, $b:expr) => {{
+                        let r = $op.eval_int(reg!($a).as_int(), $b);
+                        reg!($dst) = Value::Int(r as i64);
+                        let Inst::Br { t, f, cost, .. } = insts[pc] else {
+                            unreachable!("compare-branch not followed by its Br");
+                        };
+                        pc += 1;
+                        // A host branch, not a select: a select makes the
+                        // next fetch wait for the compare and its operand
+                        // loads, and that dependency chain, not the dispatch
+                        // count, is what bounds a tight loop.
+                        let to = if r {
+                            std::hint::cold_path();
+                            t
+                        } else {
+                            f
+                        };
+                        branch!(cost, to);
+                    }};
+                }
                 let slow = loop {
                     let inst = insts[pc];
                     pc += 1;
@@ -341,13 +382,10 @@ impl Vm {
                         Inst::ConstD { dst, val } => reg!(dst) = Value::Double(val),
                         Inst::ConstNull { dst } => reg!(dst) = Value::Null,
                         Inst::Mov { dst, src } => reg!(dst) = reg!(src),
-                        Inst::IBin { op, dst, a, b } => {
-                            let (a, b) = (reg!(a).as_int(), reg!(b).as_int());
-                            let r = match op.eval(a, b) {
-                                Some(r) => r,
-                                None => trap!(RunError::DivideByZero),
-                            };
-                            reg!(dst) = Value::Int(r);
+                        Inst::IBin { op, dst, a, b } => ibin!(op, dst, a, reg!(b).as_int()),
+                        Inst::IBinI { op, dst, a, k, imm } => {
+                            imm!(k, Value::Int(imm));
+                            ibin!(op, dst, a, imm);
                         }
                         Inst::INeg { dst, a } => {
                             reg!(dst) = Value::Int(reg!(a).as_int().wrapping_neg());
@@ -355,6 +393,10 @@ impl Vm {
                         Inst::DBin { op, dst, a, b } => {
                             let (a, b) = (reg!(a).as_double(), reg!(b).as_double());
                             reg!(dst) = Value::Double(op.eval(a, b));
+                        }
+                        Inst::DBinI { op, dst, a, k, imm } => {
+                            imm!(k, Value::Double(imm));
+                            reg!(dst) = Value::Double(op.eval(reg!(a).as_double(), imm));
                         }
                         Inst::DNeg { dst, a } => {
                             reg!(dst) = Value::Double(-reg!(a).as_double());
@@ -369,9 +411,17 @@ impl Vm {
                             let r = op.eval_int(reg!(a).as_int(), reg!(b).as_int());
                             reg!(dst) = Value::Int(r as i64);
                         }
+                        Inst::ICmpI { op, dst, a, k, imm } => {
+                            imm!(k, Value::Int(imm));
+                            reg!(dst) = Value::Int(op.eval_int(reg!(a).as_int(), imm) as i64);
+                        }
                         Inst::DCmp { op, dst, a, b } => {
                             let r = op.eval_double(reg!(a).as_double(), reg!(b).as_double());
                             reg!(dst) = Value::Int(r as i64);
+                        }
+                        Inst::DCmpI { op, dst, a, k, imm } => {
+                            imm!(k, Value::Double(imm));
+                            reg!(dst) = Value::Int(op.eval_double(reg!(a).as_double(), imm) as i64);
                         }
                         Inst::RefEq { dst, a, b } => {
                             let r = match (reg!(a), reg!(b)) {
@@ -553,16 +603,27 @@ impl Vm {
                         Inst::Br { cond, t, f, cost } => {
                             branch!(cost, if reg!(cond).as_int() != 0 { t } else { f });
                         }
-                        // The compare half of a fused pair: takes the
-                        // branch in the next slot without dispatching it.
-                        Inst::ICmpBr { op, dst, a, b } => {
-                            let r = op.eval_int(reg!(a).as_int(), reg!(b).as_int());
-                            reg!(dst) = Value::Int(r as i64);
-                            let Inst::Br { t, f, cost, .. } = insts[pc] else {
-                                unreachable!("ICmpBr not followed by its Br");
-                            };
+                        Inst::ICmpBr { op, dst, a, b } => cmp_br!(op, dst, a, reg!(b).as_int()),
+                        Inst::ICmpBrI { op, dst, a, k, imm } => {
+                            imm!(k, Value::Int(imm));
+                            cmp_br!(op, dst, a, imm);
+                        }
+                        // Exactly a `Jmp` (a due tick or fuel stop leaves
+                        // with `pc` at the target), then the compare-branch
+                        // there without going through dispatch again.
+                        Inst::JmpCmpBr { t, cost } => {
+                            branch!(cost, t);
                             pc += 1;
-                            branch!(cost, if r { t } else { f });
+                            match insts[pc - 1] {
+                                Inst::ICmpBr { op, dst, a, b } => {
+                                    cmp_br!(op, dst, a, reg!(b).as_int());
+                                }
+                                Inst::ICmpBrI { op, dst, a, k, imm } => {
+                                    imm!(k, Value::Int(imm));
+                                    cmp_br!(op, dst, a, imm);
+                                }
+                                other => unreachable!("JmpCmpBr lands on {other:?}"),
+                            }
                         }
                         // Ret folds its FRAME_COST into the same charge as
                         // the block tail — nothing observes the clock

@@ -14,6 +14,15 @@
 //! folded as a [`Cost`] immediate into the call or terminator that ends it.
 //! [`LinearCode::prefix`] holds, for every pc, what a flush *at that pc*
 //! charges; only traps, failing guards and over-wide segments read it.
+//!
+//! *Fused forms.* One peephole ([`fuse`]) rewrites, in place, the first slot
+//! of a group of adjacent instructions into a variant that executes the whole
+//! group in one dispatch and steps over the rest. The other slots keep their
+//! instruction and nothing moves, so pcs, costs, `prefix` and the pools are
+//! those of the unfused code. The first slot of a group is never a
+//! terminator and every chunk (block or resume tail) ends in one, so a group
+//! never crosses a chunk start; control only ever enters a chunk at its
+//! start or after a call, so it never lands inside a group.
 
 use crate::compiler::DeoptPoint;
 use dchm_bytecode::{
@@ -50,10 +59,6 @@ pub enum Inst {
     I2D { dst: Reg, a: Reg },
     D2I { dst: Reg, a: Reg },
     ICmp { op: CmpOp, dst: Reg, a: Reg, b: Reg },
-    /// An `ICmp` whose result feeds the `Br` in the next slot: executes
-    /// both. The `Br` stays in place, so pcs and costs are those of the
-    /// unfused pair.
-    ICmpBr { op: CmpOp, dst: Reg, a: Reg, b: Reg },
     DCmp { op: CmpOp, dst: Reg, a: Reg, b: Reg },
     RefEq { dst: Reg, a: Reg, b: Reg },
     New { dst: Reg, class: ClassId },
@@ -80,6 +85,42 @@ pub enum Inst {
     Br { cond: Reg, t: u32, f: u32, cost: Cost },
     Ret { val: Option<Reg>, cost: Cost },
     Unreachable { cost: Cost },
+    // Fused forms (see the module docs); each sits in the first slot of the
+    // group it executes.
+    /// `ICmp` + the `Br` testing its result.
+    ICmpBr { op: CmpOp, dst: Reg, a: Reg, b: Reg },
+    /// `ConstI { dst: k, val: imm }` + the `IBin` whose `b` is `k`. Like
+    /// every immediate form it still writes `k`.
+    IBinI { op: IBinOp, dst: Reg, a: Reg, k: Reg, imm: i64 },
+    /// `ConstI` + `ICmp`.
+    ICmpI { op: CmpOp, dst: Reg, a: Reg, k: Reg, imm: i64 },
+    /// `ConstI` + `ICmp` + `Br`: an [`Inst::ICmpBr`] with an immediate.
+    ICmpBrI { op: CmpOp, dst: Reg, a: Reg, k: Reg, imm: i64 },
+    /// `ConstD` + `DBin`.
+    DBinI { op: DBinOp, dst: Reg, a: Reg, k: Reg, imm: f64 },
+    /// `ConstD` + `DCmp`.
+    DCmpI { op: CmpOp, dst: Reg, a: Reg, k: Reg, imm: f64 },
+    /// A `Jmp` whose target slot holds a compare-branch: flushes like the
+    /// `Jmp`, then executes that group (which stays put for other
+    /// predecessors).
+    JmpCmpBr { t: u32, cost: Cost },
+}
+
+impl Inst {
+    /// Slots this instruction executes: 1 unless it is a fused form. A
+    /// [`Inst::JmpCmpBr`] counts only its own; the rest of its work is at
+    /// its target.
+    fn slots(&self) -> usize {
+        match self {
+            Inst::ICmpBrI { .. } => 3,
+            Inst::ICmpBr { .. }
+            | Inst::IBinI { .. }
+            | Inst::ICmpI { .. }
+            | Inst::DBinI { .. }
+            | Inst::DCmpI { .. } => 2,
+            _ => 1,
+        }
+    }
 }
 
 const _: () = assert!(std::mem::size_of::<Inst>() <= 16);
@@ -271,13 +312,6 @@ pub fn lower(func: &Function, program: &Program, resume: &[DeoptPoint]) -> Linea
         let (end, term) = match block.term {
             Term::Jmp(t) => (end(0), Inst::Jmp { t: pc(t), cost: fold(end(0)) }),
             Term::Br { cond, t, f } => {
-                // Fuse a compare feeding this branch (see `Inst::ICmpBr`).
-                match insts.last_mut() {
-                    Some(cmp @ &mut Inst::ICmp { op, dst, a, b }) if seg.1 > 0 && dst == cond => {
-                        *cmp = Inst::ICmpBr { op, dst, a, b };
-                    }
-                    _ => {}
-                }
                 (end(0), Inst::Br { cond, t: pc(t), f: pc(f), cost: fold(end(0)) })
             }
             Term::Ret(val) => {
@@ -290,16 +324,65 @@ pub fn lower(func: &Function, program: &Program, resume: &[DeoptPoint]) -> Linea
         insts.push(term);
     }
     u32::try_from(insts.len()).expect("code size fits u32");
+    fuse(&mut insts);
     l.insts = insts.into_boxed_slice();
     l.prefix = prefix.into_boxed_slice();
     l
 }
 
+/// The peephole behind every fused form. Groups are built right to left, so
+/// a constant can fuse with an already fused compare-branch. A constant that
+/// is also the consumer's `a` stays plain, so a fused arm may read `a` and
+/// write `k` in either order.
+fn fuse(insts: &mut [Inst]) {
+    for i in (0..insts.len().saturating_sub(1)).rev() {
+        insts[i] = match (insts[i], insts[i + 1]) {
+            (Inst::ICmp { op, dst, a, b }, Inst::Br { cond, .. }) if dst == cond => {
+                Inst::ICmpBr { op, dst, a, b }
+            }
+            (Inst::ConstI { dst: k, val: imm }, next) => match next {
+                Inst::IBin { op, dst, a, b } if b == k && a != k => {
+                    Inst::IBinI { op, dst, a, k, imm }
+                }
+                Inst::ICmp { op, dst, a, b } if b == k && a != k => {
+                    Inst::ICmpI { op, dst, a, k, imm }
+                }
+                Inst::ICmpBr { op, dst, a, b } if b == k && a != k => {
+                    Inst::ICmpBrI { op, dst, a, k, imm }
+                }
+                _ => continue,
+            },
+            (Inst::ConstD { dst: k, val: imm }, next) => match next {
+                Inst::DBin { op, dst, a, b } if b == k && a != k => {
+                    Inst::DBinI { op, dst, a, k, imm }
+                }
+                Inst::DCmp { op, dst, a, b } if b == k && a != k => {
+                    Inst::DCmpI { op, dst, a, k, imm }
+                }
+                _ => continue,
+            },
+            _ => continue,
+        };
+    }
+    // Jump targets are block starts, fused (or not) by now.
+    for i in 0..insts.len() {
+        if let Inst::Jmp { t, cost } = insts[i] {
+            if matches!(insts[t as usize], Inst::ICmpBr { .. } | Inst::ICmpBrI { .. }) {
+                insts[i] = Inst::JmpCmpBr { t, cost };
+            }
+        }
+    }
+}
+
 impl fmt::Display for LinearCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "linear [{} regs, {} insts]", self.num_regs, self.insts.len())?;
+        // `|` marks a slot the fused instruction above it executes.
+        let mut covered = 0;
         for (pc, (inst, (c, o))) in self.insts.iter().zip(self.prefix.iter()).enumerate() {
-            writeln!(f, "{pc:>5}  {inst:?}  ; flush {c}c/{o}op")?;
+            let mark = if pc < covered { '|' } else { ' ' };
+            covered = covered.max(pc + inst.slots());
+            writeln!(f, "{pc:>5} {mark}{inst:?}  ; flush {c}c/{o}op")?;
         }
         writeln!(f, "calls {:?}\nargs {:?}", self.calls, self.args)?;
         writeln!(f, "guards {:?}\nbinds {:?}", self.guards, self.binds)?;

@@ -1710,7 +1710,7 @@ impl VmState {
         kind: dchm_bytecode::ElemKind,
         len: i64,
     ) -> Result<ObjRef, RunError> {
-        let bytes = 16 + 8 * len.max(0) as usize;
+        let bytes = self.heap.array_bytes(len)?;
         self.maybe_inject_at_alloc(bytes)?;
         self.maybe_gc(bytes);
         self.charge_alloc(bytes);
@@ -1727,6 +1727,14 @@ impl VmState {
         if self.heap.needs_gc(bytes) {
             self.gc_now();
         }
+    }
+
+    /// Drops every frame and the register pool. `&mut Vm` rules out real
+    /// re-entrancy, so frames found at a host entry point are what a trap
+    /// (or a contained panic) left behind.
+    pub fn drop_frames(&mut self) {
+        self.frames.clear();
+        self.reg_stack.clear();
     }
 
     /// Runs a collection with roots from frames, statics and host handles.

@@ -21,9 +21,10 @@
 #![recursion_limit = "1024"]
 
 use dchm_bytecode::{CmpOp, MethodSig, Program, ProgramBuilder, Ty, Value};
+use dchm_core::{MutationEngine, OlcReport};
 use dchm_testutil::{
-    attach_plan, find_workload, harness_config, observe, prepare_workload, storm_config,
-    storm_salarydb, Obs,
+    attach_plan, find_workload, harness_config, observe, prepare_workload, run_with_plan,
+    storm_config, storm_salarydb, Obs,
 };
 use dchm_trace::TraceEvent;
 use dchm_vm::{FaultConfig, FaultInjector, GovernorConfig, RunError, Vm, VmConfig};
@@ -318,6 +319,33 @@ fn injected_oom_reports_out_of_memory() {
     }));
     assert!(matches!(vm.run_entry(), Err(RunError::OutOfMemory { .. })));
     assert!(!vm.state.poisoned, "typed OOM must not poison the VM");
+}
+
+/// A typed trap leaves its frames for post-mortem; the next online install
+/// (was an assert outside containment) drops them, and the VM then runs the
+/// program to the output a fresh VM produces.
+#[test]
+fn a_trapped_vm_accepts_an_online_install_and_runs_again() {
+    let (p, plan) = storm_salarydb(24, 40);
+    let mut vm = Vm::new(p.clone(), VmConfig::default());
+    vm.state.injector = Some(FaultInjector::new(FaultConfig {
+        gc_at_alloc: false,
+        ic_bumps: false,
+        recompiles: false,
+        oom_at_alloc: true,
+        period: 5,
+        ..FaultConfig::transparent(7)
+    }));
+    assert!(matches!(vm.run_entry(), Err(RunError::OutOfMemory { .. })));
+    assert!(!vm.state.frames.is_empty(), "the trapping frames stay inspectable");
+    vm.state.injector = None;
+    MutationEngine::new(plan.clone(), OlcReport::default()).install_online(&mut vm);
+    assert!(vm.state.frames.is_empty() && vm.state.reg_stack.is_empty());
+    vm.state.output = Default::default();
+    vm.run_entry().expect("the reused VM completes");
+    let fresh = run_with_plan(&p, plan, VmConfig::default());
+    assert_eq!(vm.state.output.checksum, fresh.state.output.checksum);
+    assert!(vm.stats().tib_flips > 0, "the online plan is live");
 }
 
 /// depth-`n` self-recursion through virtual dispatch (the semantics_edge

@@ -658,3 +658,28 @@ fn observer_watching_a_foreign_field_id_is_ignored() {
     vm.run_entry().unwrap();
     assert_eq!(stores.get(), 1);
 }
+
+#[test]
+fn huge_array_lengths_are_out_of_memory_not_a_poisoning_panic() {
+    // mk(n): allocates one small array (so the heap's running total is
+    // non-zero), then `new int[n]`.
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("C").build();
+    let mut m = pb.static_method(c, "mk", MethodSig::new(vec![Ty::Int], Some(Ty::Int)));
+    let n = m.param(0);
+    let (four, small, big, len) = (m.imm(4), m.reg(), m.reg(), m.reg());
+    m.new_arr(small, dchm_bytecode::ElemKind::Int, four);
+    m.new_arr(big, dchm_bytecode::ElemKind::Int, n);
+    m.alen(len, big);
+    m.ret(Some(len));
+    let mk = m.build();
+    let mut vm = Vm::new(pb.finish().unwrap(), VmConfig::default());
+    // 2^61 elements is where `16 + 8 * len` wraps; three below it the size
+    // still fits but the heap's running total wraps.
+    for len in [1i64 << 40, (1 << 61) - 3, 1 << 61, 1 << 62, i64::MAX] {
+        let err = vm.call_static(mk, &[Value::Int(len)]).unwrap_err();
+        assert!(matches!(err, RunError::OutOfMemory { .. }), "len {len}: {err:?}");
+        assert!(!vm.state.poisoned, "len {len}");
+    }
+    assert_eq!(vm.call_static(mk, &[Value::Int(3)]).unwrap(), Some(Value::Int(3)));
+}

@@ -240,64 +240,51 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return Err(Error::msg("unterminated string"));
+            // The run of plain bytes up to the next quote or escape: one
+            // scan and one UTF-8 check (neither byte occurs inside a
+            // multi-byte sequence).
+            let rest = &self.bytes[self.pos..];
+            let n = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::msg("unterminated string"))?;
+            let run = std::str::from_utf8(&rest[..n])
+                .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
+            s.push_str(run);
+            self.pos += n + 1;
+            if rest[n] == b'"' {
+                return Ok(s);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(Error::msg("unterminated escape"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(Error::msg("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect `\uXXXX` low half.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.parse_hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::msg("bad unicode escape"))?,
-                            );
+            match esc {
+                b'"' => s.push('"'),
+                b'\\' => s.push('\\'),
+                b'/' => s.push('/'),
+                b'n' => s.push('\n'),
+                b'r' => s.push('\r'),
+                b't' => s.push('\t'),
+                b'b' => s.push('\u{8}'),
+                b'f' => s.push('\u{c}'),
+                b'u' => {
+                    let hi = self.parse_hex4()?;
+                    let code = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: expect `\uXXXX` low half.
+                        self.expect(b'\\')?;
+                        self.expect(b'u')?;
+                        let lo = self.parse_hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(Error::msg("bad surrogate pair"));
                         }
-                        other => {
-                            return Err(Error::msg(format!("bad escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                b => {
-                    // Re-scan as UTF-8 from the byte before `pos`.
-                    if b < 0x80 {
-                        s.push(b as char);
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                     } else {
-                        let start = self.pos - 1;
-                        let len = utf8_len(b);
-                        let chunk = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or_else(|| Error::msg("truncated UTF-8"))?;
-                        let text = std::str::from_utf8(chunk)
-                            .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                        s.push_str(text);
-                        self.pos = start + len;
-                    }
+                        hi
+                    };
+                    s.push(char::from_u32(code).ok_or_else(|| Error::msg("bad unicode escape"))?);
                 }
+                other => return Err(Error::msg(format!("bad escape `\\{}`", other as char))),
             }
         }
     }
@@ -345,14 +332,6 @@ impl Parser<'_> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,6 +368,32 @@ mod tests {
     fn pretty_output_is_indented() {
         let v = vec![1u32, 2];
         assert_eq!(to_string_pretty(&v).unwrap(), "[\n  1,\n  2\n]");
+    }
+
+    #[test]
+    fn strings_decode_runs_escapes_and_unicode() {
+        let s = |json: &str| from_str::<String>(json);
+        assert_eq!(s(r#""""#).unwrap(), "");
+        assert_eq!(s(r#""plain run""#).unwrap(), "plain run");
+        // Every escape, at the start, between runs and at the end.
+        assert_eq!(s(r#""\"a\\b\/c\nd\re\tf\bg\fh""#).unwrap(), "\"a\\b/c\nd\re\tf\u{8}g\u{c}h");
+        assert_eq!(s(r#""x\u0041\u00fc\u20acy""#).unwrap(), "xAü€y");
+        // A surrogate pair is one scalar; a lone or mismatched half is an error.
+        assert_eq!(s(r#""\ud83d\ude00!""#).unwrap(), "😀!");
+        assert!(s(r#""\ud83d""#).is_err());
+        assert!(s(r#""\ud83d\u0041""#).is_err());
+        assert!(s(r#""\ude00""#).is_err());
+        // Multi-byte UTF-8 right next to the quotes and to an escape.
+        assert_eq!(s("\"ü\"").unwrap(), "ü");
+        assert_eq!(s("\"€\\n😀\"").unwrap(), "€\n😀");
+        assert_eq!(s("\"a€\\\"€\"").unwrap(), "a€\"€");
+        // Unterminated forms.
+        for bad in [r#"""#, r#""abc"#, r#""abc\"#, r#""abc\""#, r#""\u00"#, r#""\q""#, "\"ü"] {
+            assert!(s(bad).is_err(), "{bad}");
+        }
+        // Keys go through the same path.
+        let kv: Vec<(String, i64)> = from_str(r#"[["k\u00e9y", 1]]"#).unwrap();
+        assert_eq!(kv, vec![("kéy".to_string(), 1)]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 # working tree this script sits in.
 #
 #   tools/ab.sh <parent-rev> [--workload W] [--pairs N] [--seconds S] [--seed K]
+#   tools/ab.sh <parent-rev> --counts [--seed K]
 #
 # Checks <parent-rev> out into a temporary directory, builds both trees'
 # benchmark/run.sh into separate target directories, then runs N pairs
@@ -15,12 +16,18 @@
 # A gain is claimed only with >= 9/10 of the pairs won AND that distance
 # exceeded; `*_per_s` metrics are better when higher, all others when lower.
 # Failed operations are summed per side on the last line of each workload.
+#
+# --counts times nothing: each side makes one `--quick --trace 1` set and
+# every line it tags `exact` (counts that repeat bit for bit: modeled clock
+# and ops, compiles, deopts, cache hits, ...) is compared. Prints the lines
+# that differ and exits 1 if any does, else how many were compared.
 set -euo pipefail
-usage() { sed -n '2,17p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,23p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 1 ] || usage
 rev="$1"; shift
-workloads="" pairs=10 seconds=20 seed=20060326
+workloads="" pairs=10 seconds=20 seed=20060326 counts=""
 while [ $# -gt 0 ]; do
+    if [ "$1" = --counts ]; then counts=1; shift; continue; fi
     [ $# -ge 2 ] || usage
     case "$1" in
         --workload) workloads="$2" ;;
@@ -45,6 +52,20 @@ CARGO_TARGET_DIR="$tmp/target-parent" "$tmp/parent/benchmark/run.sh" --contract 
 CARGO_TARGET_DIR="$tmp/target-change" "$root/benchmark/run.sh" --contract > /dev/null
 parent_bin="$tmp/target-parent/release/dchm-benchmark"
 change_bin="$tmp/target-change/release/dchm-benchmark"
+
+if [ -n "$counts" ]; then
+    for side in parent change; do
+        bin="${side}_bin"
+        echo "$side: --quick --trace 1 --seed $seed" >&2
+        "${!bin}" --quick --trace 1 --seed "$seed" | grep ' exact$' > "$tmp/exact-$side"
+    done
+    if diff "$tmp/exact-parent" "$tmp/exact-change"; then
+        echo "all $(wc -l < "$tmp/exact-change") exact lines identical"
+        exit 0
+    fi
+    echo "exact lines differ (< parent, > change)" >&2
+    exit 1
+fi
 
 # One untraced pass; appends `<side> <workload> <metric> <value>` rows.
 pass() {
