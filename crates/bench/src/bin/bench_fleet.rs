@@ -3,13 +3,12 @@
 //! Two experiments over the `dchm_vm::fleet` executor:
 //!
 //! 1. **Scaling** — the 7-workload catalog replicated ×4 (28 tenant jobs)
-//!    scheduled across 1/2/4/8 shard workers under a static LPT
-//!    assignment. Throughput is *modeled*: aggregate ops divided by the
-//!    modeled makespan (slowest shard's summed clock) converted through
-//!    the cost model's frequency — deterministic, machine-independent, and
-//!    honest on a single-core host where wall time cannot show overlap.
-//!    Wall seconds ride along as an informational column. Every job is
-//!    asserted bit-identical to its solo golden.
+//!    through the fleet's dynamic queue at 1 worker and at
+//!    `available_parallelism()` workers. The rows carry *measured* host
+//!    wall seconds (fastest of three alternating rounds) and the speed-up
+//!    derived from them — the only host-dependent columns; on a one-core
+//!    host there is one row and no speed-up to report. Every job of every
+//!    round is asserted bit-identical to its solo golden.
 //! 2. **64-tenant fan-out** — identical SalaryDB tenants with the shared
 //!    compile-artifact cache on vs off: the summed host compile wall must
 //!    collapse when every tenant past the first adopts published
@@ -25,15 +24,12 @@ use std::time::Instant;
 
 use dchm_bench::runner::{flag_value, scale_from_args, BenchJson};
 use dchm_bench::{measured_config, prepare_workload};
-use dchm_ir::cost::CostModel;
 use dchm_testutil::fleet::{run_job, run_jobs_fleet, FleetJob, JobReport};
-use dchm_vm::fleet::{lpt_assignment, makespan, FleetConfig};
+use dchm_vm::fleet::FleetConfig;
 use dchm_vm::SharedCodeCache;
 use dchm_workloads::{catalog, Workload};
 
-/// Replicas of each catalog workload in the scaling job list: enough that
-/// the LPT bound (`makespan <= total/workers + max_job`) guarantees >= 2x
-/// modeled speedup at 4 workers for any weight distribution.
+/// Replicas of each catalog workload in the scaling job list.
 const REPLICAS: usize = 4;
 
 /// The measured-config fleet job for `w`, sharing one prepared pipeline.
@@ -54,7 +50,7 @@ fn main() {
         .map(|v| v.parse().expect("--tenants takes a count"))
         .unwrap_or(64);
 
-    let mut doc = BenchJson::new("fleet_scaling", scale, "aggregate_ops_per_sec");
+    let mut doc = BenchJson::new("fleet_scaling", scale, "wall_secs");
     doc.meta("replicas_per_workload", &REPLICAS.to_string());
 
     // Offline pipelines once per workload, shared by every replica and
@@ -68,69 +64,58 @@ fn main() {
         })
         .collect();
 
-    // Solo goldens double as the calibration run: each job's modeled clock
-    // is its LPT weight, and its stats/folded are the bit-identity oracle.
+    // Solo goldens: each job's stats/folded are the bit-identity oracle.
     let goldens: Vec<JobReport> = workloads
         .iter()
         .zip(&prepared)
         .map(|(w, p)| {
-            eprintln!("calibrating {}", w.name);
+            eprintln!("solo {}", w.name);
             run_job(&job_for(w, p, w.name.to_string()), None)
         })
         .collect();
 
     let mut jobs: Vec<FleetJob> = Vec::new();
-    let mut weights: Vec<u64> = Vec::new();
     let mut golden_of: Vec<usize> = Vec::new();
     for replica in 0..REPLICAS {
         for (i, w) in workloads.iter().enumerate() {
             jobs.push(job_for(w, &prepared[i], format!("{}[{replica}]", w.name)));
-            weights.push(goldens[i].obs.clock);
             golden_of.push(i);
         }
     }
-    let total_ops: u64 = golden_of.iter().map(|&i| goldens[i].obs.ops).sum();
 
-    let mut base_ops_per_sec = 0.0;
-    for workers in [1usize, 2, 4, 8] {
-        let assignment = lpt_assignment(&weights, workers);
-        let ms = makespan(&weights, &assignment, workers);
-        let t0 = Instant::now();
-        let reports = run_jobs_fleet(
-            &FleetConfig::pinned(workers, assignment),
-            &jobs,
-            None,
-        );
-        let wall_secs = t0.elapsed().as_secs_f64();
-
-        let output_match = reports
-            .iter()
-            .zip(&golden_of)
-            .all(|(r, &g)| r.modeled() == goldens[g].modeled());
-        assert!(output_match, "{workers}-worker fleet diverged from solo");
-
-        let modeled_secs = CostModel::cycles_to_secs(ms);
-        let ops_per_sec = total_ops as f64 / modeled_secs;
-        if workers == 1 {
-            base_ops_per_sec = ops_per_sec;
+    // This host's wall clock swings by tens of percent between minutes:
+    // the two worker counts alternate and each row keeps its fastest round.
+    const ROUNDS: usize = 3;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    doc.meta("available_parallelism", &cores.to_string());
+    doc.meta("rounds", &ROUNDS.to_string());
+    let mut worker_counts = vec![1, cores];
+    worker_counts.dedup();
+    let mut best_secs = vec![f64::INFINITY; worker_counts.len()];
+    for _ in 0..ROUNDS {
+        for (best, &workers) in best_secs.iter_mut().zip(&worker_counts) {
+            let t0 = Instant::now();
+            let reports = run_jobs_fleet(&FleetConfig::dynamic(workers), &jobs, None);
+            *best = best.min(t0.elapsed().as_secs_f64());
+            let output_match = reports
+                .iter()
+                .zip(&golden_of)
+                .all(|(r, &g)| r.modeled() == goldens[g].modeled());
+            assert!(output_match, "{workers}-worker fleet diverged from solo");
         }
-        let speedup = ops_per_sec / base_ops_per_sec;
-
+    }
+    for (&workers, &wall_secs) in worker_counts.iter().zip(&best_secs) {
+        let speedup = best_secs[0] / wall_secs;
         let mut row = String::new();
         let _ = write!(
             row,
             "{{\"name\": \"workers-{workers}\", \"workers\": {workers}, \
-             \"jobs\": {}, \"makespan_cycles\": {ms}, \
-             \"aggregate_ops_per_sec\": {ops_per_sec:.1}, \
-             \"speedup_vs_1\": {speedup:.3}, \"wall_secs\": {wall_secs:.3}, \
-             \"output_match\": {output_match}}}",
+             \"jobs\": {}, \"wall_secs\": {wall_secs:.3}, \
+             \"wall_speedup_vs_1\": {speedup:.3}, \"output_match\": true}}",
             jobs.len(),
         );
         doc.row(row);
-        println!(
-            "workers {workers}: makespan {ms} cycles, {ops_per_sec:.0} ops/s \
-             (x{speedup:.2}), wall {wall_secs:.2}s"
-        );
+        println!("workers {workers}: wall {wall_secs:.2}s (x{speedup:.2} vs 1 worker)");
     }
 
     // 64-tenant fan-out: identical SalaryDB tenants, shared cache off/on.

@@ -23,11 +23,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dchm_bench::runner::flag_value;
-use dchm_vm::trace::fleet::split_shard;
+use dchm_bench::runner::{flag_value, has_flag};
 use dchm_vm::trace::profile::{folded_leaf_cells, parse_folded};
 use serde::Value;
-use std::collections::BTreeMap;
 
 fn field<'a>(v: &'a Value, k: &str) -> Option<&'a Value> {
     match v {
@@ -74,27 +72,12 @@ fn discover(dir: &Path) -> Vec<String> {
 fn report_workload(dir: &Path, stem: &str, top: usize) {
     println!("== {stem} ==");
 
-    // Cycle breakdown from the metrics document, if present. A fleet
-    // document carries one `vm_stats` object per shard; a solo one carries
-    // a single object. Either way the headline is the aggregate, with
-    // shard-prefixed rows underneath when sharded.
+    // Cycle breakdown from the metrics document, if present.
     let metrics = load_json(&dir.join(format!("{stem}.metrics.json")));
     let mut exec_cycles = None;
     if let Some(stats) = metrics.as_ref().and_then(|m| field(m, "vm_stats")) {
-        let shards: Vec<&Value> = match stats {
-            Value::Array(items) => items.iter().collect(),
-            other => vec![other],
-        };
-        let rows: Vec<(u64, u64, u64)> = shards
-            .iter()
-            .map(|s| {
-                let get = |k: &str| field(s, k).and_then(as_u64).unwrap_or(0);
-                (get("exec_cycles"), get("compile_cycles"), get("gc_cycles"))
-            })
-            .collect();
-        let (exec, compile, gc) = rows.iter().fold((0, 0, 0), |a, r| {
-            (a.0 + r.0, a.1 + r.1, a.2 + r.2)
-        });
+        let get = |k: &str| field(stats, k).and_then(as_u64).unwrap_or(0);
+        let (exec, compile, gc) = (get("exec_cycles"), get("compile_cycles"), get("gc_cycles"));
         let total = (exec + compile + gc).max(1);
         println!(
             "cycles    exec {exec} ({:.1}%)  compile {compile} ({:.1}%)  gc {gc} ({:.1}%)",
@@ -102,34 +85,12 @@ fn report_workload(dir: &Path, stem: &str, top: usize) {
             compile as f64 * 100.0 / total as f64,
             gc as f64 * 100.0 / total as f64,
         );
-        if rows.len() > 1 {
-            for (i, (e, c, g)) in rows.iter().enumerate() {
-                println!("          shard{i}: exec {e}  compile {c}  gc {g}");
-            }
-        }
         exec_cycles = Some(exec);
     }
 
     // Top attribution cells from the folded profile.
     match std::fs::read_to_string(dir.join(format!("{stem}.folded"))) {
         Ok(text) => {
-            // A fleet-merged profile roots every stack in a `shardN;`
-            // frame: summarize per-shard sample totals first. Leaf-cell
-            // ranking below is undisturbed — the shard root never touches
-            // the leaf frame.
-            let mut shard_totals: BTreeMap<usize, u64> = BTreeMap::new();
-            for (stack, n) in parse_folded(&text) {
-                if let Some((shard, _)) = split_shard(&stack) {
-                    *shard_totals.entry(shard).or_insert(0) += n;
-                }
-            }
-            if !shard_totals.is_empty() {
-                let parts: Vec<String> = shard_totals
-                    .iter()
-                    .map(|(s, n)| format!("shard{s} {n}"))
-                    .collect();
-                println!("fleet     {} shards: {}", shard_totals.len(), parts.join("  "));
-            }
             let cells = folded_leaf_cells(&text);
             let total: u64 = cells.values().sum();
             let mut ranked: Vec<(&String, &u64)> = cells.iter().collect();
@@ -232,13 +193,21 @@ fn report_bench_docs() {
 }
 
 fn report(dir: &Path, which: &str, top: usize) -> ExitCode {
+    // A named workload none of whose artifacts exist is a mistyped name,
+    // not an empty report.
+    let named = |ext: &str| dir.join(format!("{which}.{ext}")).exists();
     let stems = if which == "all" {
         discover(dir)
-    } else {
+    } else if ["folded", "metrics.json", "census.json"]
+        .into_iter()
+        .any(named)
+    {
         vec![which.to_string()]
+    } else {
+        Vec::new()
     };
     if stems.is_empty() {
-        eprintln!("no .folded profiles under {}", dir.display());
+        eprintln!("no artifacts for workload {which} under {}", dir.display());
         return ExitCode::FAILURE;
     }
     for stem in &stems {
@@ -461,39 +430,55 @@ fn usage() -> ExitCode {
          dchm-inspect diff <A.folded> <B.folded> [--threshold PCT]\n       \
          dchm-inspect export --prometheus [--dir traces] [--workload NAME]"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
+}
+
+/// Flags that take a value; any other `--flag` is a switch.
+const VALUE_FLAGS: [&str; 4] = ["--dir", "--workload", "--top", "--threshold"];
+
+/// The arguments that are neither a flag nor a flag's value.
+fn positionals(args: &[String]) -> Vec<&String> {
+    let mut out = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            it.next();
+        } else if !a.starts_with("--") {
+            out.push(a);
+        }
+    }
+    out
+}
+
+/// `flag`'s value as a number: `default` when the flag is absent, `None`
+/// when the value does not parse.
+fn number_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Option<T> {
+    flag_value(args, flag).map_or(Some(default), |v| v.parse().ok())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let dir = PathBuf::from(flag_value(&args, "--dir").unwrap_or_else(|| "traces".to_string()));
-    match args.first().map(String::as_str) {
-        Some("report") => {
-            let which = flag_value(&args, "--workload").unwrap_or_else(|| "all".to_string());
-            let top: usize = flag_value(&args, "--top")
-                .map(|v| v.parse().expect("--top takes a count"))
-                .unwrap_or(5);
+    let Some((cmd, rest)) = args.split_first() else {
+        return usage();
+    };
+    let dir = PathBuf::from(flag_value(rest, "--dir").unwrap_or_else(|| "traces".to_string()));
+    let paths = positionals(rest);
+    match cmd.as_str() {
+        "report" if paths.is_empty() => {
+            let which = flag_value(rest, "--workload").unwrap_or_else(|| "all".to_string());
+            let Some(top) = number_flag(rest, "--top", 5usize) else {
+                return usage();
+            };
             report(&dir, &which, top)
         }
-        Some("diff") => {
-            let paths: Vec<&String> = args[1..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .collect();
-            if paths.len() != 2 {
+        "diff" if paths.len() == 2 => {
+            let Some(threshold) = number_flag(rest, "--threshold", 10.0f64) else {
                 return usage();
-            }
-            let threshold: f64 = flag_value(&args, "--threshold")
-                .map(|v| v.parse().expect("--threshold takes a percentage"))
-                .unwrap_or(10.0);
+            };
             diff(Path::new(paths[0]), Path::new(paths[1]), threshold)
         }
-        Some("export") => {
-            if !args.iter().any(|a| a == "--prometheus") {
-                return usage();
-            }
-            let stem =
-                flag_value(&args, "--workload").unwrap_or_else(|| "SalaryDB".to_string());
+        "export" if paths.is_empty() && has_flag(rest, "--prometheus") => {
+            let stem = flag_value(rest, "--workload").unwrap_or_else(|| "SalaryDB".to_string());
             export_prometheus(&dir, &stem)
         }
         _ => usage(),

@@ -6,17 +6,18 @@
 //! inspect SalaryDB [--small]
 //! ```
 
+use dchm_bench::runner::scale_from_args;
 use dchm_bench::{measured_config, prepare_workload};
-use dchm_workloads::{catalog, Scale};
+use dchm_workloads::catalog;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = args.first().cloned().unwrap_or_else(|| "SalaryDB".into());
-    let scale = if args.iter().any(|a| a == "--small") {
-        Scale::Small
-    } else {
-        Scale::Full
-    };
+    let name = args
+        .iter()
+        .find(|a| !a.starts_with("--"))
+        .cloned()
+        .unwrap_or_else(|| "SalaryDB".into());
+    let scale = scale_from_args(&args);
     let Some(w) = catalog(scale).into_iter().find(|w| w.name == name) else {
         eprintln!("unknown benchmark {name}");
         std::process::exit(2);

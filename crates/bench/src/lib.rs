@@ -1,8 +1,7 @@
 //! # dchm-bench
 //!
 //! Measurement harness regenerating every table and figure of the paper's
-//! evaluation (Section 7). The `repro` binary prints them; the Criterion
-//! benches under `benches/` wrap the same entry points.
+//! evaluation (Section 7). The `repro` binary prints them.
 //!
 //! All comparisons run the *same* workload twice over the deterministic
 //! cycle-model VM: once with mutation off (baseline) and once with the full
@@ -131,12 +130,9 @@ pub fn prepare_workload(w: &Workload) -> Prepared {
     prepare_workload_with(w, dchm_core::AnalysisConfig::default())
 }
 
-/// Runs the offline pipeline with explicit analysis tunables (used by the
-/// ablation benches to sweep `R`, `k`, the mutation level and state caps).
-pub fn prepare_workload_with(
-    w: &Workload,
-    analysis: dchm_core::AnalysisConfig,
-) -> Prepared {
+/// Runs the offline pipeline with explicit analysis tunables (`repro
+/// ablations` sweeps `R`, `k`, the mutation level and state caps).
+fn prepare_workload_with(w: &Workload, analysis: dchm_core::AnalysisConfig) -> Prepared {
     let cfg = PipelineConfig {
         analysis,
         profile_vm: measured_config(w),
@@ -155,21 +151,7 @@ pub fn measure_with_analysis(
     w: &Workload,
     analysis: dchm_core::AnalysisConfig,
 ) -> Measurement {
-    let prepared = prepare_workload_with(w, analysis);
-    let mut base_vm = prepared.make_baseline_vm(measured_config(w));
-    let base_runs = w.run_warehouses(&mut base_vm).expect("baseline run");
-    let mut mut_vm = prepared.make_vm(measured_config(w));
-    let mut_runs = w.run_warehouses(&mut mut_vm).expect("mutated run");
-    let base = RunStats::from_vm(&base_vm);
-    let mutated = RunStats::from_vm(&mut_vm);
-    assert_eq!(base.checksum, mutated.checksum, "{}: behaviour changed", w.name);
-    Measurement {
-        name: w.name,
-        base,
-        mutated,
-        base_warehouses: base_runs.iter().map(|r| r.throughput()).collect(),
-        mutated_warehouses: mut_runs.iter().map(|r| r.throughput()).collect(),
-    }
+    measure_prepared(w, &prepare_workload_with(w, analysis), measured_config(w))
 }
 
 /// The VM configuration used for measured runs.
@@ -190,10 +172,6 @@ pub fn measured_config(w: &Workload) -> VmConfig {
 /// checksum (which would invalidate every number produced).
 pub fn measure(w: &Workload, accelerated: bool) -> Measurement {
     let prepared = prepare_workload(w);
-
-    let mut base_vm = prepared.make_baseline_vm(measured_config(w));
-    let base_runs = w.run_warehouses(&mut base_vm).expect("baseline run");
-
     let mut cfg = measured_config(w);
     if accelerated {
         // Figure 14: accelerate hotness detection for the mutable methods.
@@ -201,7 +179,15 @@ pub fn measure(w: &Workload, accelerated: bool) -> Measurement {
             cfg.accelerated_methods.extend(mc.mutable_methods.iter().copied());
         }
     }
-    let mut mut_vm = prepared.make_vm(cfg);
+    measure_prepared(w, &prepared, cfg)
+}
+
+/// The baseline run under [`measured_config`] against the mutated run under
+/// `mutated_cfg`, both from one prepared pipeline.
+fn measure_prepared(w: &Workload, prepared: &Prepared, mutated_cfg: VmConfig) -> Measurement {
+    let mut base_vm = prepared.make_baseline_vm(measured_config(w));
+    let base_runs = w.run_warehouses(&mut base_vm).expect("baseline run");
+    let mut mut_vm = prepared.make_vm(mutated_cfg);
     let mut_runs = w.run_warehouses(&mut mut_vm).expect("mutated run");
 
     let base = RunStats::from_vm(&base_vm);
@@ -267,10 +253,7 @@ pub mod artifacts {
 
     /// Parses a `--trace <dir>` flag pair out of a raw argument list.
     pub fn trace_dir_flag(args: &[String]) -> Option<PathBuf> {
-        args.iter()
-            .position(|a| a == "--trace")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from)
+        crate::runner::flag_value(args, "--trace").map(PathBuf::from)
     }
 
     /// Writes `<dir>/<name>.folded` (Brendan-Gregg folded stacks from the
@@ -302,10 +285,7 @@ pub mod artifacts {
 
     /// Parses a `--profile <dir>` flag pair out of a raw argument list.
     pub fn profile_dir_flag(args: &[String]) -> Option<PathBuf> {
-        args.iter()
-            .position(|a| a == "--profile")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from)
+        crate::runner::flag_value(args, "--profile").map(PathBuf::from)
     }
 }
 
@@ -333,6 +313,16 @@ mod tests {
         assert!(m.code_size_increase() >= 0.0);
         assert!(m.tib_increase_bytes() > 0);
         assert!(m.compile_fraction() > 0.0 && m.compile_fraction() < 1.0);
+
+        // What `repro ablations` prints, at a non-default tunable.
+        let capped = dchm_core::AnalysisConfig {
+            max_hot_states_per_class: 1,
+            ..Default::default()
+        };
+        let a = measure_with_analysis(&w, capped);
+        assert!(a.speedup().is_finite());
+        assert!(a.mutated.special_code_bytes > 0);
+        assert!(a.mutated.special_tib_bytes < m.mutated.special_tib_bytes);
     }
 
     #[test]

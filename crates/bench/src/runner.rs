@@ -210,9 +210,22 @@ mod tests {
                     "{name}: machine.{k}"
                 );
             }
-            match field("workloads") {
-                serde::Value::Array(rows) => assert!(!rows.is_empty(), "{name}: empty workloads"),
+            let rows = match field("workloads") {
+                serde::Value::Array(rows) => rows,
                 other => panic!("{name}: workloads is {other:?}"),
+            };
+            assert!(!rows.is_empty(), "{name}: empty workloads");
+            if name == "BENCH_fleet.json" {
+                // Fleet rows carry measured wall time and nothing modeled:
+                // exactly these columns.
+                let columns = "name workers jobs wall_secs wall_speedup_vs_1 output_match";
+                for row in &rows {
+                    let serde::Value::Object(fields) = row else {
+                        panic!("{name}: row is {row:?}")
+                    };
+                    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                    assert_eq!(keys.join(" "), columns, "{name}: row columns");
+                }
             }
             checked += 1;
         }

@@ -1,7 +1,7 @@
 //! End-to-end tests for the `dchm-inspect` CLI: artifact round-trip
-//! (report + Prometheus export over real SalaryDB artifacts) and the diff
+//! (report + Prometheus export over real SalaryDB artifacts), the diff
 //! regression gate (zero delta on identical profiles, non-zero exit on an
-//! injected regression fixture).
+//! injected regression fixture) and argument errors — `repro`'s included.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -80,37 +80,46 @@ fn report_and_export_read_real_artifacts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Fleet artifacts: a `.folded` merged across shards (shard-rooted stacks)
-/// plus a metrics document whose `vm_stats` is a per-shard array. The
-/// report must summarize per-shard samples and aggregate the cycle split.
+/// Argument errors: a stray positional or an unparsable number is a usage
+/// error (exit 2, usage on stderr), and a named workload with no artifacts
+/// fails (exit 1) instead of printing an empty report.
 #[test]
-fn report_reads_fleet_merged_artifacts() {
-    let dir = scratch("fleet");
-    let merged = dchm_vm::trace::fleet::merge_folded(&[
-        "Main::main#o0;Acct::work#s2 40\n".to_string(),
-        "Main::main#o0;Acct::work#s2 25\nMain::main#o0 5\n".to_string(),
-    ]);
-    std::fs::write(dir.join("Fleet.folded"), merged).unwrap();
-    std::fs::write(
-        dir.join("Fleet.metrics.json"),
-        "{\"vm_stats\": [\
-          {\"exec_cycles\": 100, \"compile_cycles\": 10, \"gc_cycles\": 1},\
-          {\"exec_cycles\": 200, \"compile_cycles\": 20, \"gc_cycles\": 2}]}",
-    )
-    .unwrap();
+fn bad_arguments_are_rejected() {
+    let dir = scratch("args");
+    std::fs::write(dir.join("W.folded"), "Main::main#o0 10\n").unwrap();
+    let d = dir.to_str().unwrap();
+
+    for bad in [
+        vec!["report", d],
+        vec!["report", "--dir", d, "--top", "x"],
+        vec!["diff", "a.folded", "b.folded", "--threshold", "x"],
+        vec!["export", "--prometheus", d],
+    ] {
+        let out = inspect().args(&bad).output().expect("run dchm-inspect");
+        assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("usage: dchm-inspect"),
+            "{bad:?}: no usage in:\n{err}"
+        );
+    }
 
     let out = inspect()
-        .args(["report", "--dir", dir.to_str().unwrap(), "--workload", "Fleet"])
+        .args(["report", "--dir", d, "--workload", "Nope"])
         .output()
         .expect("run dchm-inspect");
-    assert!(out.status.success(), "fleet report failed: {out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("fleet     2 shards: shard0 40  shard1 30"), "got:\n{text}");
-    assert!(text.contains("cycles    exec 300"), "aggregate missing:\n{text}");
-    assert!(text.contains("shard0: exec 100"), "per-shard row missing:\n{text}");
-    assert!(text.contains("shard1: exec 200"), "per-shard row missing:\n{text}");
-    // Leaf ranking ignores the shard root: both shards' hot cell merges.
-    assert!(text.contains("Acct::work#s2"), "leaf cell missing:\n{text}");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "unknown workload must exit 1: {out:?}"
+    );
+
+    // The same directory reports fine under the name it does hold.
+    let out = inspect()
+        .args(["report", "--dir", d, "--workload", "W", "--top", "3"])
+        .output()
+        .expect("run dchm-inspect");
+    assert!(out.status.success(), "report failed: {out:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -152,4 +161,34 @@ fn diff_is_zero_on_identical_profiles_and_gates_regressions() {
         .expect("run dchm-inspect");
     assert!(out.status.success(), "improvement must exit 0: {out:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `repro`'s target is its first non-flag argument: `--small` may come
+/// before it, and an unknown target is still a usage error.
+#[test]
+fn repro_takes_small_before_or_after_the_target() {
+    let repro = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("run repro")
+    };
+    let after = repro(&["table1", "--small"]);
+    let before = repro(&["--small", "table1"]);
+    assert!(after.status.success(), "table1 --small failed: {after:?}");
+    assert!(before.status.success(), "--small table1 failed: {before:?}");
+    assert!(String::from_utf8_lossy(&after.stdout).contains("== Table 1"));
+    assert_eq!(before.stdout, after.stdout);
+
+    let bogus = repro(&["--small", "fig99"]);
+    assert_eq!(
+        bogus.status.code(),
+        Some(2),
+        "unknown target must exit 2: {bogus:?}"
+    );
+    let err = String::from_utf8_lossy(&bogus.stderr);
+    assert!(
+        err.contains("unknown target fig99") && err.contains("plan"),
+        "got:\n{err}"
+    );
 }

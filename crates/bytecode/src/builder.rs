@@ -345,7 +345,8 @@ impl<'a> MethodBuilder<'a> {
     }
 
     /// Current frame size (registers allocated so far, parameters included).
-    pub fn reg_count(&self) -> u16 {
+    #[cfg(test)]
+    fn reg_count(&self) -> u16 {
         self.next_reg
     }
 

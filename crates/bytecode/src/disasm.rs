@@ -1,10 +1,7 @@
 //! Human-readable disassembly of bytecode.
 
 use crate::instr::{Instr, Op};
-use crate::program::Program;
-use crate::ids::MethodId;
 use std::fmt;
-use std::fmt::Write as _;
 
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -117,42 +114,13 @@ impl fmt::Display for Instr {
     }
 }
 
-/// Disassembles one method with resolved names.
-pub fn disasm_method(p: &Program, mid: MethodId) -> String {
-    let m = p.method(mid);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}::{} [{:?}, {} regs, {} instrs]",
-        p.class(m.owner).name,
-        m.name,
-        m.kind,
-        m.num_regs,
-        m.code.len()
-    );
-    for (i, instr) in m.code.iter().enumerate() {
-        let _ = writeln!(out, "  {i:4}: {instr}");
-    }
-    out
-}
-
-/// Disassembles the whole program.
-pub fn disasm_program(p: &Program) -> String {
-    let mut out = String::new();
-    for (i, _) in p.methods.iter().enumerate() {
-        out.push_str(&disasm_method(p, MethodId::from_index(i)));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::builder::ProgramBuilder;
     use crate::class::MethodSig;
 
     #[test]
-    fn disasm_contains_names_and_indices() {
+    fn display_renders_operands_and_intrinsics() {
         let mut pb = ProgramBuilder::new();
         let c = pb.class("Widget").build();
         let mut m = pb.static_method(c, "main", MethodSig::void());
@@ -162,11 +130,9 @@ mod tests {
         m.ret(None);
         let mid = m.build();
         let p = pb.finish().unwrap();
-        let s = super::disasm_method(&p, mid);
-        assert!(s.contains("Widget::main"));
-        assert!(s.contains("const 42"));
-        assert!(s.contains("PrintInt"));
-        let full = super::disasm_program(&p);
-        assert!(full.contains("Widget::main"));
+        let lines: Vec<String> = p.method(mid).code.iter().map(|i| i.to_string()).collect();
+        assert!(lines[0].contains("const 42"));
+        assert!(lines[1].contains("PrintInt"));
+        assert_eq!(lines[2], "ret");
     }
 }

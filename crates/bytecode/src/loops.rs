@@ -19,7 +19,8 @@ pub struct LoopInfo {
 
 impl LoopInfo {
     /// The deepest nesting level in the method.
-    pub fn max_nesting(&self) -> u32 {
+    #[cfg(test)]
+    fn max_nesting(&self) -> u32 {
         self.nesting.iter().copied().max().unwrap_or(0)
     }
 }

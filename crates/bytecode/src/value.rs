@@ -37,11 +37,6 @@ impl Ty {
             Ty::Ref(_) | Ty::Arr(_) => Value::Null,
         }
     }
-
-    /// True if values of this type are references the GC must trace.
-    pub fn is_ref(self) -> bool {
-        matches!(self, Ty::Ref(_) | Ty::Arr(_))
-    }
 }
 
 impl fmt::Display for Ty {
@@ -224,7 +219,8 @@ impl CmpOp {
     }
 
     /// The operator with operands swapped (`a op b` == `b op.swapped() a`).
-    pub fn swapped(self) -> CmpOp {
+    #[cfg(test)]
+    fn swapped(self) -> CmpOp {
         match self {
             CmpOp::Eq => CmpOp::Eq,
             CmpOp::Ne => CmpOp::Ne,

@@ -600,12 +600,6 @@ pub fn method_display_name(p: &Program, m: MethodId) -> String {
     format!("{}::{}", p.class(md.owner).name, md.name)
 }
 
-/// Returns the declaring class of `m` (helper mirroring
-/// [`method_display_name`]).
-pub fn method_owner(p: &Program, m: MethodId) -> ClassId {
-    p.method(m).owner
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

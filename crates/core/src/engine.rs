@@ -58,6 +58,24 @@ struct ClassRt {
     prev_statics_ok: Vec<bool>,
 }
 
+impl ClassRt {
+    /// The special code of `m` to install: that of the first hot state (of
+    /// instance part `part`, when one is given) whose static part holds and
+    /// whose special version exists and is usable per the governor.
+    fn pick(
+        &self,
+        vm: &VmState,
+        m: &MethodRt,
+        part: Option<usize>,
+        statics_ok: &[bool],
+    ) -> Option<CompiledId> {
+        (0..self.states.len())
+            .filter(|&s| statics_ok[s] && part.is_none_or(|p| self.state_part[s] == p))
+            .filter_map(|s| m.special[s])
+            .find(|&cid| vm.special_usable(cid))
+    }
+}
+
 /// The mutation engine. Create with [`MutationEngine::new`], then either
 /// attach it to a VM via [`MutationEngine::attach`] or install it manually
 /// with [`MutationEngine::install`] + [`Vm::set_handler`].
@@ -155,29 +173,24 @@ impl MutationEngine {
             let methods: Vec<MethodRt> = mc
                 .mutable_methods
                 .iter()
-                .map(|&m| {
+                .enumerate()
+                .map(|(mi, &m)| {
                     let md = vm.program.method(m);
                     let vslot = if md.is_virtual() {
                         vm.program.class(mc.class).vtable_slot(md.selector)
                     } else {
                         None
                     };
-                    let rt = MethodRt {
+                    self.method_index.insert(m, (ci, mi));
+                    MethodRt {
                         method: m,
                         vslot,
                         is_static: md.kind == MethodKind::Static,
                         is_private_instance: md.kind == MethodKind::Instance && vslot.is_none(),
                         special: vec![None; mc.hot_states.len()],
-                    };
-                    self.method_index.insert(m, (ci, self.rt.len()));
-                    rt
+                    }
                 })
                 .collect();
-            // Fix method_index second components (they must index into
-            // `methods`, not `rt`).
-            for (mi, mrt) in methods.iter().enumerate() {
-                self.method_index.insert(mrt.method, (ci, mi));
-            }
 
             self.rt.push(ClassRt {
                 class: mc.class,
@@ -282,7 +295,7 @@ impl MutationEngine {
 
     /// Flips the TIB of every live instance of a mutable class according to
     /// its *current* field values.
-    pub fn adopt_objects(&self, vm: &mut VmState) {
+    fn adopt_objects(&self, vm: &mut VmState) {
         let candidates: Vec<ObjRef> = vm
             .heap
             .iter_live_objects()
@@ -355,14 +368,7 @@ impl MutationEngine {
         let tib = rt.special_tibs[p];
         for m in &rt.methods {
             let Some(vslot) = m.vslot else { continue };
-            let chosen = (0..rt.states.len())
-                .find(|&s| {
-                    rt.state_part[s] == p
-                        && statics_ok[s]
-                        && m.special[s].is_some_and(|cid| vm.special_usable(cid))
-                })
-                .and_then(|s| m.special[s]);
-            let slot = match chosen {
+            let slot = match rt.pick(vm, m, Some(p), &statics_ok) {
                 Some(cid) => CodeSlot::Code(cid),
                 None => vm.tib_slot(class_tib, vslot),
             };
@@ -402,22 +408,13 @@ impl MutationEngine {
         let class_tib = vm.class_tib(rt.class);
 
         for m in &rt.methods {
-            // Pick, per instance part, the special code to use (a state
-            // whose static part holds and whose special code exists).
             if m.is_static || m.is_private_instance {
                 // Statically-bound: JTOC / class-TIB-for-private patching.
                 // Only sound when the code does not depend on instance
                 // state (Sec. 3.2.3): for instance-state classes, private
                 // methods are not mutated.
                 let special = if rt.inst_fields.is_empty() || m.is_static {
-                    rt.states
-                        .iter()
-                        .enumerate()
-                        .find(|&(s, _)| {
-                            statics_ok[s]
-                                && m.special[s].is_some_and(|cid| vm.special_usable(cid))
-                        })
-                        .and_then(|(s, _)| m.special[s])
+                    rt.pick(vm, m, None, &statics_ok)
                 } else {
                     None
                 };
@@ -428,15 +425,7 @@ impl MutationEngine {
             let general = vm.tib_slot(class_tib, vslot);
             if rt.special_tibs.is_empty() {
                 // Static-only class: the class TIB itself is specialized.
-                let chosen = rt
-                    .states
-                    .iter()
-                    .enumerate()
-                    .find(|&(s, _)| {
-                        statics_ok[s] && m.special[s].is_some_and(|cid| vm.special_usable(cid))
-                    })
-                    .and_then(|(s, _)| m.special[s]);
-                let slot = match chosen {
+                let slot = match rt.pick(vm, m, None, &statics_ok) {
                     Some(cid) => CodeSlot::Code(cid),
                     None => match vm.general_code[m.method.index()] {
                         Some(cid) => CodeSlot::Code(cid),
@@ -446,14 +435,7 @@ impl MutationEngine {
                 vm.set_tib_slot(class_tib, vslot, slot);
             } else {
                 for (p, &tib) in rt.special_tibs.iter().enumerate() {
-                    let chosen = (0..rt.states.len())
-                        .find(|&s| {
-                            rt.state_part[s] == p
-                                && statics_ok[s]
-                                && m.special[s].is_some_and(|cid| vm.special_usable(cid))
-                        })
-                        .and_then(|s| m.special[s]);
-                    let slot = match chosen {
+                    let slot = match rt.pick(vm, m, Some(p), &statics_ok) {
                         Some(cid) => CodeSlot::Code(cid),
                         None => general,
                     };

@@ -20,7 +20,8 @@ pub struct HotState {
 
 impl HotState {
     /// True if this state constrains no instance fields.
-    pub fn instance_part_is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn instance_part_is_empty(&self) -> bool {
         self.instance_values.is_empty()
     }
 }

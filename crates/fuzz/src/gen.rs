@@ -46,7 +46,7 @@ impl Rng {
     }
 
     /// True with probability `percent`/100.
-    pub fn chance(&mut self, percent: u64) -> bool {
+    fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
     }
 }

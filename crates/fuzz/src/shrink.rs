@@ -13,7 +13,7 @@
 use crate::gen::{Action, Spec};
 
 /// All one-step simplifications of `spec`, coarsest first.
-pub fn candidates(spec: &Spec) -> Vec<Spec> {
+fn candidates(spec: &Spec) -> Vec<Spec> {
     let mut out = Vec::new();
     let mut push = |s: Spec| {
         if s != *spec {

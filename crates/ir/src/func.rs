@@ -150,45 +150,15 @@ impl Function {
         &self.blocks[b.index()]
     }
 
-    /// Mutable access to a block.
-    ///
-    /// # Panics
-    /// Panics if `b` is out of range.
-    #[inline]
-    pub fn block_mut(&mut self, b: BlockId) -> &mut Block {
-        &mut self.blocks[b.index()]
-    }
-
-    /// Appends a block, returning its id.
-    pub fn add_block(&mut self, block: Block) -> BlockId {
-        let id = BlockId::from_index(self.blocks.len());
-        self.blocks.push(block);
-        id
-    }
-
     /// Total static op count (terminators included), the unit of the
     /// paper's "compiled code size" measurements.
     pub fn size(&self) -> usize {
         self.blocks.iter().map(|b| b.ops.len() + 1).sum()
     }
 
-    /// Allocates a fresh register.
-    ///
-    /// # Errors
-    /// Returns [`IrError::RegisterOverflow`] when the `u16` register space
-    /// is exhausted; callers (optimization passes) skip their rewrite
-    /// rather than aborting the host.
-    pub fn fresh_reg(&mut self) -> Result<Reg, IrError> {
-        let r = Reg(self.num_regs);
-        self.num_regs = self
-            .num_regs
-            .checked_add(1)
-            .ok_or(IrError::RegisterOverflow { requested: 1 })?;
-        Ok(r)
-    }
-
     /// Blocks reachable from entry, in reverse post-order.
-    pub fn reverse_postorder(&self) -> Vec<BlockId> {
+    #[cfg(test)]
+    fn reverse_postorder(&self) -> Vec<BlockId> {
         let n = self.blocks.len();
         let mut visited = vec![false; n];
         let mut post = Vec::with_capacity(n);
@@ -341,23 +311,6 @@ mod tests {
     fn size_counts_ops_and_terms() {
         let f = diamond();
         assert_eq!(f.size(), 4);
-    }
-
-    #[test]
-    fn fresh_reg_grows_frame() {
-        let mut f = Function::new(3, 1);
-        assert_eq!(f.fresh_reg(), Ok(Reg(3)));
-        assert_eq!(f.num_regs, 4);
-    }
-
-    #[test]
-    fn fresh_reg_overflow_is_typed() {
-        let mut f = Function::new(u16::MAX, 1);
-        assert_eq!(
-            f.fresh_reg(),
-            Err(crate::IrError::RegisterOverflow { requested: 1 })
-        );
-        assert_eq!(f.num_regs, u16::MAX, "failed allocation must not mutate");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! re-running the frontend.
 
 use crate::func::{Block, BlockId, Function, Term};
-use dchm_bytecode::{Instr, Reg};
+use dchm_bytecode::Instr;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -228,14 +228,6 @@ impl LiftCache {
         self.by_method.insert(method, Arc::clone(&shared));
         shared
     }
-}
-
-/// Convenience for tests: lifts and returns together with the registers
-/// holding arguments.
-pub fn lift_with_args(code: &[Instr], num_regs: u16, arg_count: u16) -> (Function, Vec<Reg>) {
-    let f = lift(code, num_regs, arg_count);
-    let args = (0..arg_count).map(Reg).collect();
-    (f, args)
 }
 
 #[cfg(test)]

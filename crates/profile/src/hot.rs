@@ -19,7 +19,8 @@ pub struct HotMethodReport {
 
 impl HotMethodReport {
     /// Hotness of one method.
-    pub fn hotness_of(&self, m: MethodId) -> f64 {
+    #[cfg(test)]
+    fn hotness_of(&self, m: MethodId) -> f64 {
         self.hotness.get(m.index()).copied().unwrap_or(0.0)
     }
 

@@ -34,7 +34,7 @@ impl ValueKey {
     }
 
     /// Back to a [`Value`].
-    pub fn to_value(self) -> Value {
+    fn to_value(self) -> Value {
         match self {
             ValueKey::Int(i) => Value::Int(i),
             ValueKey::Double(b) => Value::Double(f64::from_bits(b)),

@@ -398,7 +398,7 @@ pub fn acct_plan(acct: ClassId, s: FieldId, go: MethodId, hot_states: bool, emit
 
 /// Renders the tail of a traced run's event stream — the post-mortem
 /// attached to differential mismatches.
-pub fn trace_tail(vm: &Vm, n: usize) -> String {
+fn trace_tail(vm: &Vm, n: usize) -> String {
     use std::fmt::Write as _;
     let tail = vm.state.tracer.last(n);
     let mut out = String::new();

@@ -174,7 +174,8 @@ impl ResidencyTracker {
     }
 
     /// Objects currently tracked as in a special state.
-    pub fn open_stays(&self) -> usize {
+    #[cfg(test)]
+    fn open_stays(&self) -> usize {
         self.open.len()
     }
 

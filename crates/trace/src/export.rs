@@ -129,24 +129,22 @@ fn args(ev: &TraceEvent) -> Value {
     }
 }
 
-fn metadata_for(pid: i64, name: &str, what: &str) -> Value {
+fn metadata(name: &str, what: &str) -> Value {
     obj(vec![
         ("name", Value::Str(name.to_owned())),
         ("ph", Value::Str("M".to_owned())),
         ("ts", Value::Int(0)),
-        ("pid", Value::Int(pid)),
+        ("pid", Value::Int(PID)),
         ("tid", Value::Int(TID)),
         ("args", obj(vec![("name", Value::Str(what.to_owned()))])),
     ])
 }
 
-fn metadata(name: &str, what: &str) -> Value {
-    metadata_for(PID, name, what)
-}
-
-/// Renders one event stream under process `pid` into `out` — the shared
-/// body of the solo and fleet exporters.
-fn push_events(out: &mut Vec<Value>, pid: i64, events: &[Stamped]) {
+/// Renders `events` (oldest-first) as a Chrome trace-event JSON value.
+pub fn chrome_trace(events: &[Stamped]) -> Value {
+    let mut out = Vec::with_capacity(events.len() + 2);
+    out.push(metadata("process_name", "dchm-vm (modeled)"));
+    out.push(metadata("thread_name", "mutator / modeled clock"));
     for e in events {
         let (name, ph) = match e.event {
             // GC renders as a span so its modeled duration is visible.
@@ -164,7 +162,7 @@ fn push_events(out: &mut Vec<Value>, pid: i64, events: &[Stamped]) {
             ("cat", Value::Str(e.event.category().to_owned())),
             ("ph", Value::Str(ph.to_owned())),
             ("ts", int(e.cycle)),
-            ("pid", Value::Int(pid)),
+            ("pid", Value::Int(PID)),
             ("tid", Value::Int(TID)),
         ];
         if ph == "i" {
@@ -176,9 +174,6 @@ fn push_events(out: &mut Vec<Value>, pid: i64, events: &[Stamped]) {
         fields.push(("args", args(&e.event)));
         out.push(obj(fields));
     }
-}
-
-fn trace_doc(out: Vec<Value>) -> Value {
     obj(vec![
         ("traceEvents", Value::Array(out)),
         ("displayTimeUnit", Value::Str("ms".to_owned())),
@@ -192,43 +187,9 @@ fn trace_doc(out: Vec<Value>) -> Value {
     ])
 }
 
-/// Renders `events` (oldest-first) as a Chrome trace-event JSON value.
-pub fn chrome_trace(events: &[Stamped]) -> Value {
-    let mut out = Vec::with_capacity(events.len() + 2);
-    out.push(metadata("process_name", "dchm-vm (modeled)"));
-    out.push(metadata("thread_name", "mutator / modeled clock"));
-    push_events(&mut out, PID, events);
-    trace_doc(out)
-}
-
 /// Renders `events` as pretty-printed Chrome trace-event JSON text.
 pub fn chrome_trace_json(events: &[Stamped]) -> String {
     serde_json::to_string_pretty(&chrome_trace(events)).expect("trace serialization is infallible")
-}
-
-/// Renders a fleet of per-shard event streams (index = shard id) as one
-/// Chrome trace: shard `i` becomes process `i + 1` with a
-/// `shardN: dchm-vm (modeled)` label, so Perfetto shows one track group
-/// per shard on a common timeline. Each shard's stream is exactly what
-/// [`chrome_trace`] would render solo — timestamps are the shard's own
-/// modeled clock, untouched by the merge.
-pub fn fleet_chrome_trace(shards: &[Vec<Stamped>]) -> Value {
-    let mut out = Vec::with_capacity(shards.iter().map(|s| s.len() + 2).sum());
-    for (shard, events) in shards.iter().enumerate() {
-        let pid = shard as i64 + 1;
-        let label = crate::fleet::shard_frame(shard);
-        out.push(metadata_for(pid, "process_name", &format!("{label}: dchm-vm (modeled)")));
-        out.push(metadata_for(pid, "thread_name", "mutator / modeled clock"));
-        push_events(&mut out, pid, events);
-    }
-    trace_doc(out)
-}
-
-/// Renders a fleet of per-shard event streams as pretty-printed Chrome
-/// trace-event JSON text.
-pub fn fleet_chrome_trace_json(shards: &[Vec<Stamped>]) -> String {
-    serde_json::to_string_pretty(&fleet_chrome_trace(shards))
-        .expect("trace serialization is infallible")
 }
 
 #[cfg(test)]
@@ -281,36 +242,6 @@ mod tests {
         assert!(json.contains("\"obj\": null"));
         // Timestamps are the modeled cycles.
         assert!(json.contains("\"ts\": 31"));
-    }
-
-    #[test]
-    fn fleet_trace_gives_each_shard_its_own_labelled_process() {
-        let shard0 = sample_events();
-        let shard1 = vec![Stamped {
-            seq: 0,
-            cycle: 7,
-            event: TraceEvent::Sample { method: 1, count: 1 },
-        }];
-        let v = fleet_chrome_trace(&[shard0, shard1]);
-        let Value::Object(top) = &v else { panic!("top level must be an object") };
-        let (_, Value::Array(events)) = top.iter().find(|(k, _)| k == "traceEvents").unwrap()
-        else {
-            panic!("traceEvents must be an array")
-        };
-        // (2 metadata + 4 events) + (2 metadata + 1 event).
-        assert_eq!(events.len(), 9);
-        let pid_of = |e: &Value| -> i64 {
-            let Value::Object(f) = e else { unreachable!() };
-            let (_, Value::Int(p)) = f.iter().find(|(k, _)| k == "pid").unwrap() else {
-                unreachable!()
-            };
-            *p
-        };
-        assert!(events[..6].iter().all(|e| pid_of(e) == 1));
-        assert!(events[6..].iter().all(|e| pid_of(e) == 2));
-        let json = fleet_chrome_trace_json(&[sample_events(), vec![]]);
-        assert!(json.contains("shard0: dchm-vm (modeled)"));
-        assert!(json.contains("shard1: dchm-vm (modeled)"));
     }
 
     #[test]

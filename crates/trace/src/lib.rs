@@ -13,13 +13,13 @@
 //!
 //! 1. **Free when off.** The VM holds a [`Tracer`] whose
 //!    [`Tracer::on`] check is a single inlined branch on an `Option`
-//!    discriminant; no event is constructed, no closure allocated, no
-//!    virtual call made unless a sink is attached.
+//!    discriminant; no event is constructed and no closure allocated
+//!    unless a ring is attached.
 //! 2. **Invisible when on.** Events are stamped with the modeled clock but
 //!    never *charge* it: the determinism harness's golden fingerprints
 //!    (clock, op counts, per-method cycle hashes) are bit-identical with
 //!    tracing enabled or disabled. The buffer is host-side memory only.
-//! 3. **Bounded.** The default sink is a fixed-capacity overwrite-oldest
+//! 3. **Bounded.** The sink is a fixed-capacity overwrite-oldest
 //!    ring ([`TraceBuffer`]): a trace of a long run keeps the most recent
 //!    `capacity` events and counts what it dropped. The VM is
 //!    single-threaded, so a single-writer ring needs no locks — "lock-free"
@@ -32,20 +32,13 @@
 
 pub mod census;
 pub mod export;
-pub mod fleet;
 pub mod metrics;
 pub mod profile;
-
-use std::any::Any;
 
 /// Sentinel for "no method/object/code id applies to this event field".
 pub const NO_ID: u32 = u32::MAX;
 
-/// Default ring capacity (events). 64Ki events × 32 B ≈ 2 MB of host
-/// memory — big enough to hold a full Small-scale workload run.
-pub const DEFAULT_CAPACITY: usize = 64 * 1024;
-
-/// Default inline-cache sampling period: one `IcHit`/`IcMiss` event stands
+/// Inline-cache sampling period: one `IcHit`/`IcMiss` event stands
 /// for this many probes (IC traffic is orders of magnitude denser than
 /// every other event kind; unsampled it would evict everything else).
 pub const DEFAULT_IC_SAMPLE_PERIOD: u32 = 64;
@@ -376,18 +369,8 @@ pub struct Stamped {
     pub event: TraceEvent,
 }
 
-/// Where stamped events go. Object-safe so the VM can hold any sink;
-/// `as_any` lets callers downcast back to a concrete sink (the ring) to
-/// read events out.
-pub trait TraceSink {
-    /// Records one event.
-    fn record(&mut self, ev: Stamped);
-    /// Downcast support.
-    fn as_any(&self) -> &dyn Any;
-}
-
 /// Fixed-capacity overwrite-oldest ring of [`Stamped`] events — the
-/// default sink. Single-writer (the VM is single-threaded), so no
+/// tracer's sink. Single-writer (the VM is single-threaded), so no
 /// synchronization is needed; recording is an index bump and a `Copy`
 /// store.
 #[derive(Clone, Debug)]
@@ -413,16 +396,6 @@ impl TraceBuffer {
             start: 0,
             recorded: 0,
         }
-    }
-
-    /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Ring capacity.
@@ -456,9 +429,7 @@ impl TraceBuffer {
         let skip = all.len().saturating_sub(n);
         all[skip..].to_vec()
     }
-}
 
-impl TraceSink for TraceBuffer {
     fn record(&mut self, ev: Stamped) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
@@ -468,20 +439,15 @@ impl TraceSink for TraceBuffer {
         }
         self.recorded += 1;
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
-/// The VM-side tracing front end: an optional sink plus the sequence
+/// The VM-side tracing front end: an optional ring plus the sequence
 /// counter and the inline-cache sampling state. Lives inside `VmState`;
 /// every emission site is gated on [`Tracer::on`], so a detached tracer
 /// costs the fast path exactly one predictable branch.
 pub struct Tracer {
-    sink: Option<Box<dyn TraceSink>>,
+    sink: Option<TraceBuffer>,
     seq: u64,
-    ic_period: u32,
     pending_ic_hits: u32,
     pending_ic_misses: u32,
 }
@@ -508,7 +474,6 @@ impl Tracer {
         Tracer {
             sink: None,
             seq: 0,
-            ic_period: DEFAULT_IC_SAMPLE_PERIOD,
             pending_ic_hits: 0,
             pending_ic_misses: 0,
         }
@@ -517,39 +482,21 @@ impl Tracer {
     /// A tracer recording into a fresh ring of `capacity` events.
     pub fn ring(capacity: usize) -> Self {
         let mut t = Tracer::off();
-        t.attach(Box::new(TraceBuffer::new(capacity)));
+        t.enable_ring(capacity);
         t
     }
 
-    /// Attaches a sink (replacing any current one).
-    pub fn attach(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Attaches a fresh ring of `capacity` events.
+    /// Attaches a fresh ring of `capacity` events (replacing any current
+    /// one).
     pub fn enable_ring(&mut self, capacity: usize) {
-        self.attach(Box::new(TraceBuffer::new(capacity)));
+        self.sink = Some(TraceBuffer::new(capacity));
     }
 
-    /// Detaches and returns the sink; the tracer is off afterwards.
-    pub fn detach(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
-    }
-
-    /// Whether a sink is attached. This is *the* fast-path check: inlined
-    /// to a null test on the boxed sink.
+    /// Whether a ring is attached. This is *the* fast-path check: inlined
+    /// to a test of the `Option` discriminant.
     #[inline(always)]
     pub fn on(&self) -> bool {
         self.sink.is_some()
-    }
-
-    /// Sets the inline-cache sampling period (events per `period` probes).
-    ///
-    /// # Panics
-    /// Panics if `period` is 0.
-    pub fn set_ic_sample_period(&mut self, period: u32) {
-        assert!(period > 0, "ic sample period must be non-zero");
-        self.ic_period = period;
     }
 
     /// Stamps and records `event` at modeled clock `cycle`. A no-op when
@@ -564,7 +511,8 @@ impl Tracer {
         }
     }
 
-    /// Counts an inline-cache hit; every `ic_period`-th probe emits one
+    /// Counts an inline-cache hit; every
+    /// [`DEFAULT_IC_SAMPLE_PERIOD`]-th probe emits one
     /// sampled [`TraceEvent::IcHit`] carrying the caller/site of the probe
     /// that closed the window.
     #[inline]
@@ -573,7 +521,7 @@ impl Tracer {
             return;
         }
         self.pending_ic_hits += 1;
-        if self.pending_ic_hits >= self.ic_period {
+        if self.pending_ic_hits >= DEFAULT_IC_SAMPLE_PERIOD {
             let sampled = self.pending_ic_hits;
             self.pending_ic_hits = 0;
             self.emit(cycle, TraceEvent::IcHit { method, site, sampled });
@@ -587,22 +535,19 @@ impl Tracer {
             return;
         }
         self.pending_ic_misses += 1;
-        if self.pending_ic_misses >= self.ic_period {
+        if self.pending_ic_misses >= DEFAULT_IC_SAMPLE_PERIOD {
             let sampled = self.pending_ic_misses;
             self.pending_ic_misses = 0;
             self.emit(cycle, TraceEvent::IcMiss { method, site, sampled });
         }
     }
 
-    /// The attached ring, when the sink is a [`TraceBuffer`].
+    /// The attached ring, if any.
     pub fn buffer(&self) -> Option<&TraceBuffer> {
-        self.sink
-            .as_ref()
-            .and_then(|s| s.as_any().downcast_ref::<TraceBuffer>())
+        self.sink.as_ref()
     }
 
-    /// Buffered events oldest-first; empty when detached or when the sink
-    /// is not a ring.
+    /// Buffered events oldest-first; empty when detached.
     pub fn events(&self) -> Vec<Stamped> {
         self.buffer().map(TraceBuffer::to_vec).unwrap_or_default()
     }
@@ -669,19 +614,23 @@ mod tests {
 
     #[test]
     fn ic_probes_are_sampled() {
+        let period = DEFAULT_IC_SAMPLE_PERIOD;
         let mut t = Tracer::ring(16);
-        t.set_ic_sample_period(8);
-        for _ in 0..20 {
+        for _ in 0..2 * period + period / 2 {
             t.ic_hit(1, 3, 0);
         }
         t.ic_miss(2, 3, 1);
         let evs = t.events();
-        // 20 hits at period 8 -> 2 events; 1 miss -> below threshold.
+        // 2.5 periods of hits -> 2 events; 1 miss -> below threshold.
         assert_eq!(evs.len(), 2);
         for e in &evs {
             assert_eq!(
                 e.event,
-                TraceEvent::IcHit { method: 3, site: 0, sampled: 8 }
+                TraceEvent::IcHit {
+                    method: 3,
+                    site: 0,
+                    sampled: period
+                }
             );
         }
     }

@@ -60,31 +60,6 @@ impl Histogram {
         self.buckets[bucket] += 1;
     }
 
-    /// Merges `other` into `self`: bucket-wise count addition (shorter
-    /// bucket vectors are zero-extended), summed counts/sums, and min/max
-    /// that ignore an empty side — `min`/`max` are 0 placeholders on an
-    /// empty histogram and must not leak into a non-empty merge.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += *o;
-        }
-    }
-
     /// True when no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -254,46 +229,6 @@ impl MetricsSnapshot {
             .collect();
         snap
     }
-
-    /// Merges per-shard snapshots into one fleet-wide aggregate: stream
-    /// accounting and per-method/per-class tallies sum, histograms merge
-    /// bucket-wise, and `end_cycle` becomes the fleet *makespan proxy* —
-    /// the max over shards, since shard clocks are independent and never
-    /// add. Ids stay globally meaningful (every tenant runs the same
-    /// program space), so rows merge by id rather than concatenating.
-    pub fn merge(shards: &[MetricsSnapshot]) -> Self {
-        let mut out = MetricsSnapshot::default();
-        let mut methods: BTreeMap<u32, MethodMetrics> = BTreeMap::new();
-        let mut classes: BTreeMap<u32, ClassMetrics> = BTreeMap::new();
-        for s in shards {
-            out.events_seen += s.events_seen;
-            out.events_dropped += s.events_dropped;
-            out.end_cycle = out.end_cycle.max(s.end_cycle);
-            out.tib_flips += s.tib_flips;
-            out.gcs += s.gcs;
-            out.faults_injected += s.faults_injected;
-            for m in &s.per_method {
-                let t = methods.entry(m.method).or_default();
-                t.method = m.method;
-                t.special_compiles += m.special_compiles;
-                t.recompiles += m.recompiles;
-                t.guard_fails += m.guard_fails;
-                t.deopts += m.deopts;
-                t.deopt_latency.merge(&m.deopt_latency);
-                t.time_in_special.merge(&m.time_in_special);
-            }
-            for c in &s.per_class {
-                let t = classes.entry(c.class).or_default();
-                t.class = c.class;
-                t.entries += c.entries;
-                t.exits += c.exits;
-                t.state_residency.merge(&c.state_residency);
-            }
-        }
-        out.per_method = methods.into_values().collect();
-        out.per_class = classes.into_values().collect();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -359,68 +294,6 @@ mod tests {
         assert_eq!(snap.per_class[0].state_residency.sum, 800);
         assert_eq!(snap.per_class[0].entries, 1);
         assert_eq!(snap.per_class[0].exits, 0);
-    }
-
-    #[test]
-    fn histogram_merge_handles_empty_sides_and_bucket_widths() {
-        // Empty ← non-empty adopts min/max instead of keeping the 0
-        // placeholders.
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        for v in [8, 1000] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!((a.count, a.min, a.max, a.sum), (2, 8, 1000, 1008));
-        assert_eq!(a.buckets.len(), b.buckets.len());
-        // Non-empty ← empty is a no-op.
-        let before = a.clone();
-        a.merge(&Histogram::default());
-        assert_eq!(a, before);
-        // Differing bucket widths: the shorter side zero-extends.
-        let mut c = Histogram::default();
-        c.record(1);
-        a.merge(&c);
-        assert_eq!((a.count, a.min, a.max), (3, 1, 1000));
-        assert_eq!(a.buckets[0], 1);
-        assert_eq!(a.buckets[9], 1);
-    }
-
-    #[test]
-    fn snapshot_merge_sums_tallies_and_takes_makespan_clock() {
-        let shard0 = MetricsSnapshot::build(
-            &[
-                st(0, 100, TraceEvent::SpecialCompile { method: 7, code: 1, level: 2, size_bytes: 64 }),
-                st(1, 500, TraceEvent::GuardFail { method: 7, guard: 0, obj: 3, forced: false }),
-                st(2, 650, TraceEvent::BaselineResume { method: 7, code: 2, block: 0, op: 1 }),
-            ],
-            1000,
-            2,
-        );
-        let shard1 = MetricsSnapshot::build(
-            &[
-                st(0, 1, TraceEvent::TibFlip { obj: 0, from_tib: 0, to_tib: 1 }),
-                st(1, 50, TraceEvent::GuardFail { method: 7, guard: 1, obj: 9, forced: false }),
-                st(2, 90, TraceEvent::BaselineResume { method: 7, code: 2, block: 0, op: 0 }),
-                st(3, 95, TraceEvent::Recompile { method: 9, code: 3, level: 1, size_bytes: 16 }),
-            ],
-            4000,
-            0,
-        );
-        let fleet = MetricsSnapshot::merge(&[shard0, shard1]);
-        assert_eq!(fleet.events_seen, 7);
-        assert_eq!(fleet.events_dropped, 2);
-        assert_eq!(fleet.end_cycle, 4000, "fleet clock is the shard max");
-        assert_eq!(fleet.tib_flips, 1);
-        // Method 7 rows merged by id; method 9 carried over.
-        assert_eq!(fleet.per_method.len(), 2);
-        let m7 = &fleet.per_method[0];
-        assert_eq!(m7.method, 7);
-        assert_eq!(m7.guard_fails, 2);
-        assert_eq!(m7.deopt_latency.count, 2);
-        assert_eq!(m7.deopt_latency.sum, 150 + 40);
-        assert_eq!(fleet.per_method[1].method, 9);
-        assert_eq!(fleet.per_method[1].recompiles, 1);
     }
 
     #[test]

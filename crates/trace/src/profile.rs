@@ -74,12 +74,12 @@ impl FrameKey {
 
 /// Per-cell sample tallies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CellStats {
+struct CellStats {
     /// Samples with this cell on top of the stack.
-    pub self_samples: u64,
+    self_samples: u64,
     /// Samples with this cell anywhere on the stack (each on-stack
     /// occurrence counts, so recursion weighs a frame by its depth).
-    pub total_samples: u64,
+    total_samples: u64,
 }
 
 /// The profiler accumulator. Owned by the VM next to its `Tracer`;
@@ -96,11 +96,6 @@ impl Profiler {
     /// A profiler sampling every `period` modeled cycles (0 = disabled).
     pub fn new(period: u64) -> Self {
         Profiler { period, ..Profiler::default() }
-    }
-
-    /// The sampling period in modeled cycles (0 when disabled).
-    pub fn period(&self) -> u64 {
-        self.period
     }
 
     /// Whether sampling is armed.
@@ -128,11 +123,6 @@ impl Profiler {
         for f in rest {
             self.cells.entry(*f).or_default().total_samples += 1;
         }
-    }
-
-    /// The raw attribution cells, ascending key order.
-    pub fn cells(&self) -> impl Iterator<Item = (&FrameKey, &CellStats)> {
-        self.cells.iter()
     }
 
     /// Renders the folded-stack map as `.folded` text: one

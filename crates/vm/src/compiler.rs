@@ -51,7 +51,7 @@ pub struct CompileOutcome {
 }
 
 /// Modeled size of a function in bytes.
-pub fn func_size_bytes(f: &Function) -> usize {
+fn func_size_bytes(f: &Function) -> usize {
     f.blocks
         .iter()
         .map(|b| b.ops.iter().map(op_size).sum::<usize>() + 4)

@@ -13,52 +13,23 @@
 //! to every shard's VM, and that is host-side only — which is exactly why
 //! a job's run inside any fleet is bit-identical to its solo run.
 //!
-//! Scheduling is either work-stealing-style [`Schedule::Dynamic`] (an
-//! atomic work index; assignment of jobs to shards depends on host timing,
-//! results still land in job order) or fully deterministic
-//! [`Schedule::Static`] (a precomputed job→shard map, e.g. from
-//! [`lpt_assignment`] over calibrated job weights — what the scaling
-//! benchmark uses so its aggregate modeled makespan is reproducible).
+//! Scheduling is one dynamic queue (an atomic work index): which shard
+//! runs which job depends on host timing, results still land in job order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// How jobs are placed on shards.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// Shards pull the next unclaimed job from a shared atomic index.
-    /// Lowest latency, but which shard runs which job depends on host
-    /// timing (job results are position-stable regardless).
-    Dynamic,
-    /// `assignment[i]` names the shard that runs job `i`; each shard runs
-    /// its jobs in increasing job index. Fully deterministic.
-    Static(Vec<usize>),
-}
-
-/// Fleet shape: how many workers, and how jobs are placed on them.
+/// Fleet shape: how many workers pull from the job queue.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Number of worker shards (clamped to at least 1).
     pub workers: usize,
-    /// Job placement policy.
-    pub schedule: Schedule,
 }
 
 impl FleetConfig {
     /// A dynamic fleet of `workers` shards.
     pub fn dynamic(workers: usize) -> Self {
-        FleetConfig {
-            workers,
-            schedule: Schedule::Dynamic,
-        }
-    }
-
-    /// A static fleet of `workers` shards running `assignment`.
-    pub fn pinned(workers: usize, assignment: Vec<usize>) -> Self {
-        FleetConfig {
-            workers,
-            schedule: Schedule::Static(assignment),
-        }
+        FleetConfig { workers }
     }
 }
 
@@ -81,12 +52,12 @@ pub struct FleetRun<R> {
 }
 
 /// Runs every job in `jobs` exactly once across `cfg.workers` parallel
-/// shards and returns the results in job order.
+/// shards, each pulling the next unclaimed job from a shared atomic index,
+/// and returns the results in job order.
 ///
 /// # Panics
-/// Panics when a static schedule does not cover every job, names a shard
-/// out of range, or a job closure panics (the panic propagates once all
-/// workers have been joined by the scope).
+/// Panics when a job closure panics (the panic propagates once all workers
+/// have been joined by the scope).
 pub fn run_fleet<J, R, F>(cfg: &FleetConfig, jobs: &[J], run: F) -> FleetRun<R>
 where
     J: Sync,
@@ -95,56 +66,23 @@ where
 {
     let workers = cfg.workers.max(1);
     let out: Mutex<Vec<Option<(usize, R)>>> = Mutex::new((0..jobs.len()).map(|_| None).collect());
-    match &cfg.schedule {
-        Schedule::Dynamic => {
-            let next = AtomicUsize::new(0);
-            let spawned = workers.min(jobs.len());
-            rayon::scope(|s| {
-                for shard in 0..spawned {
-                    let (out, next, run) = (&out, &next, &run);
-                    s.spawn(move |_| {
-                        let ctx = ShardCtx { shard, workers };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= jobs.len() {
-                                break;
-                            }
-                            let r = run(&ctx, &jobs[i]);
-                            out.lock().expect("fleet worker poisoned")[i] = Some((shard, r));
-                        }
-                    });
+    let next = AtomicUsize::new(0);
+    rayon::scope(|s| {
+        for shard in 0..workers.min(jobs.len()) {
+            let (out, next, run) = (&out, &next, &run);
+            s.spawn(move |_| {
+                let ctx = ShardCtx { shard, workers };
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs.len() {
+                        break;
+                    }
+                    let r = run(&ctx, &jobs[i]);
+                    out.lock().expect("fleet worker poisoned")[i] = Some((shard, r));
                 }
             });
         }
-        Schedule::Static(assignment) => {
-            assert_eq!(
-                assignment.len(),
-                jobs.len(),
-                "static schedule must cover every job"
-            );
-            assert!(
-                assignment.iter().all(|&s| s < workers),
-                "static schedule names a shard out of range"
-            );
-            rayon::scope(|s| {
-                for shard in 0..workers {
-                    let (out, run) = (&out, &run);
-                    let assignment = &assignment[..];
-                    s.spawn(move |_| {
-                        let ctx = ShardCtx { shard, workers };
-                        for (i, job) in jobs
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| assignment[*i] == shard)
-                        {
-                            let r = run(&ctx, job);
-                            out.lock().expect("fleet worker poisoned")[i] = Some((shard, r));
-                        }
-                    });
-                }
-            });
-        }
-    }
+    });
     let mut results = Vec::with_capacity(jobs.len());
     let mut shard_of = Vec::with_capacity(jobs.len());
     for slot in out.into_inner().expect("fleet worker poisoned") {
@@ -155,39 +93,6 @@ where
     FleetRun { results, shard_of }
 }
 
-/// Longest-processing-time-first assignment of weighted jobs to `workers`
-/// shards: jobs in descending weight order (ties on lower index first),
-/// each to the currently least-loaded shard (ties to the lowest shard id).
-/// Deterministic, and within 4/3 of the optimal makespan — with `n` jobs
-/// of maximum weight `w_max`, the resulting [`makespan`] is at most
-/// `total/workers + w_max`, which is what the scaling benchmark's ≥2x
-/// throughput floor at 4 workers leans on.
-pub fn lpt_assignment(weights: &[u64], workers: usize) -> Vec<usize> {
-    let workers = workers.max(1);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
-    let mut load = vec![0u64; workers];
-    let mut assignment = vec![0usize; weights.len()];
-    for i in order {
-        let shard = (0..workers)
-            .min_by_key(|&w| (load[w], w))
-            .expect("workers >= 1");
-        assignment[i] = shard;
-        load[shard] += weights[i];
-    }
-    assignment
-}
-
-/// The bottleneck shard's total weight under `assignment` — the fleet's
-/// modeled wall time when job `i` costs `weights[i]`.
-pub fn makespan(weights: &[u64], assignment: &[usize], workers: usize) -> u64 {
-    let mut load = vec![0u64; workers.max(1)];
-    for (i, &s) in assignment.iter().enumerate() {
-        load[s] += weights[i];
-    }
-    load.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,16 +101,23 @@ mod tests {
     #[test]
     fn dynamic_fleet_runs_every_job_once_in_order() {
         let jobs: Vec<u64> = (0..37).collect();
-        let ran = AtomicU64::new(0);
-        let fleet = run_fleet(&FleetConfig::dynamic(4), &jobs, |ctx, &j| {
-            assert!(ctx.shard < ctx.workers);
-            ran.fetch_add(1, Ordering::Relaxed);
-            j * 2
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 37);
-        assert_eq!(fleet.results, jobs.iter().map(|j| j * 2).collect::<Vec<_>>());
-        assert_eq!(fleet.shard_of.len(), 37);
-        assert!(fleet.shard_of.iter().all(|&s| s < 4));
+        // 0 workers clamps to one.
+        for (requested, workers) in [(4, 4), (0, 1)] {
+            let ran = AtomicU64::new(0);
+            let fleet = run_fleet(&FleetConfig::dynamic(requested), &jobs, |ctx, &j| {
+                assert_eq!(ctx.workers, workers);
+                assert!(ctx.shard < ctx.workers);
+                ran.fetch_add(1, Ordering::Relaxed);
+                j * 2
+            });
+            assert_eq!(ran.load(Ordering::Relaxed), 37);
+            assert_eq!(
+                fleet.results,
+                jobs.iter().map(|j| j * 2).collect::<Vec<_>>()
+            );
+            assert_eq!(fleet.shard_of.len(), 37);
+            assert!(fleet.shard_of.iter().all(|&s| s < workers));
+        }
     }
 
     #[test]
@@ -221,50 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn static_schedule_pins_jobs_to_shards() {
-        let jobs: Vec<usize> = (0..6).collect();
-        let assignment = vec![0, 1, 2, 0, 1, 2];
-        let fleet = run_fleet(
-            &FleetConfig::pinned(3, assignment.clone()),
-            &jobs,
-            |ctx, &j| (ctx.shard, j),
-        );
-        assert_eq!(fleet.shard_of, assignment);
-        for (i, &(shard, j)) in fleet.results.iter().enumerate() {
-            assert_eq!((shard, j), (assignment[i], i));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every job")]
-    fn short_static_schedule_panics() {
-        let jobs = [1, 2, 3];
-        let _ = run_fleet(&FleetConfig::pinned(2, vec![0, 1]), &jobs, |_, &j| j);
-    }
-
-    #[test]
-    fn lpt_balances_and_bounds_makespan() {
-        let weights = [7u64, 9, 4, 4, 3, 2, 1];
-        let total: u64 = weights.iter().sum();
-        for workers in 1..=4 {
-            let a = lpt_assignment(&weights, workers);
-            assert_eq!(a.len(), weights.len());
-            assert!(a.iter().all(|&s| s < workers));
-            let ms = makespan(&weights, &a, workers);
-            assert!(ms >= total.div_ceil(workers as u64));
-            assert!(ms <= total / workers as u64 + 9, "LPT bound violated");
-        }
-        // Deterministic: same inputs, same assignment.
-        assert_eq!(lpt_assignment(&weights, 3), lpt_assignment(&weights, 3));
-        // One worker gets everything.
-        assert_eq!(lpt_assignment(&weights, 1), vec![0; weights.len()]);
-    }
-
-    #[test]
     fn empty_jobs_yield_empty_run() {
         let jobs: [u8; 0] = [];
         let fleet = run_fleet(&FleetConfig::dynamic(4), &jobs, |_, &j| j);
         assert!(fleet.results.is_empty());
-        assert_eq!(makespan(&[], &[], 4), 0);
     }
 }

@@ -138,7 +138,8 @@ impl Heap {
     }
 
     /// Number of live cells (objects + arrays).
-    pub fn live_count(&self) -> usize {
+    #[cfg(test)]
+    fn live_count(&self) -> usize {
         self.cells.len() - self.free.len()
     }
 
@@ -314,7 +315,8 @@ impl Heap {
     /// # Panics
     /// Panics if `r` is not a live array handle.
     #[inline]
-    pub fn array(&self, r: ObjRef) -> &ArrayObj {
+    #[cfg(test)]
+    fn array(&self, r: ObjRef) -> &ArrayObj {
         self.try_array(r).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -323,7 +325,8 @@ impl Heap {
     /// # Panics
     /// Panics if `r` is not a live array handle.
     #[inline]
-    pub fn array_mut(&mut self, r: ObjRef) -> &mut ArrayObj {
+    #[cfg(test)]
+    fn array_mut(&mut self, r: ObjRef) -> &mut ArrayObj {
         self.try_array_mut(r).unwrap_or_else(|e| panic!("{e}"))
     }
 

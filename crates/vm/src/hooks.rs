@@ -238,11 +238,6 @@ impl FaultInjector {
         }
     }
 
-    /// The configuration this injector runs with.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     fn next_u64(&mut self) -> u64 {
         self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.rng;

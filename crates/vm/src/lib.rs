@@ -79,9 +79,9 @@ pub use codecache::{
     binding_fingerprint, CodeCache, Evicted, Probe, SharedArtifact, SharedCacheStats,
     SharedCodeCache,
 };
-pub use fleet::{lpt_assignment, makespan, run_fleet, FleetConfig, FleetRun, Schedule, ShardCtx};
 pub use compiler::{CompileEnv, DeoptInfo, DeoptPoint};
 pub use error::RunError;
+pub use fleet::{run_fleet, FleetConfig, FleetRun, ShardCtx};
 pub use governor::{Governor, GovernorConfig, GuardFailVerdict};
 pub use heap::{Heap, HeapCensus, HeapStats};
 pub use hooks::{

@@ -265,13 +265,13 @@ pub struct VmState {
     /// The object heap.
     pub heap: Heap,
     /// Static field area (part of the JTOC).
-    pub statics: Vec<Value>,
+    pub(crate) statics: Vec<Value>,
     /// All TIBs; class TIBs first, special TIBs appended by the engine.
-    pub tibs: Vec<Tib>,
+    pub(crate) tibs: Vec<Tib>,
     /// IMTs, one per class (shared with that class's special TIBs).
-    pub imts: Vec<Imt>,
+    pub(crate) imts: Vec<Imt>,
     /// Class TIB of each class.
-    pub class_tibs: Vec<TibId>,
+    pub(crate) class_tibs: Vec<TibId>,
     /// Compiled-code store (code is never freed; Jikes' code is immortal).
     pub code: Vec<CompiledMethod>,
     /// The one valid *general* compiled method per method (JTOC slot for
@@ -288,24 +288,24 @@ pub struct VmState {
     pub hints: CompilerHints,
     /// Classes marked mutable by the engine; their interface dispatch pays
     /// the extra TIB-offset load (Sec. 3.2.3).
-    pub mutable_classes: HashSet<ClassId>,
+    pub(crate) mutable_classes: HashSet<ClassId>,
     /// Statistics.
     pub stats: VmStats,
     /// Modeled cycle clock (execution + compilation + GC).
     pub clock: u64,
     /// Next sample tick.
-    pub next_sample_at: u64,
+    pub(crate) next_sample_at: u64,
     /// Next profiler tick (`u64::MAX` when profiling is off). Unlike
     /// `next_sample_at` this steps in exact period multiples: the
     /// schedule is a pure function of the clock trajectory, so repeated
     /// runs produce byte-identical profiles.
-    pub next_profile_at: u64,
+    pub(crate) next_profile_at: u64,
     /// Cycle-attribution profiler accumulator (host-side only).
     pub profiler: Profiler,
     /// TIB-flip residency tracker feeding the census. Updated at every
     /// flip regardless of tracing, so census shape never depends on
     /// whether a tracer is attached.
-    pub residency: ResidencyTracker,
+    pub(crate) residency: ResidencyTracker,
     /// Activation stack.
     pub frames: Vec<Frame>,
     /// Pooled register stack: every frame's register window is a contiguous
@@ -328,7 +328,7 @@ pub struct VmState {
     /// Program output.
     pub output: Output,
     /// Extra GC roots registered by the host.
-    pub handles: Vec<ObjRef>,
+    pub(crate) handles: Vec<ObjRef>,
     /// Events for the interpreter to forward to the mutation handler:
     /// `(method, level)` of freshly installed general code.
     pub(crate) recompile_events: Vec<(MethodId, u8)>,
@@ -379,7 +379,7 @@ pub struct VmState {
     pub shared_misses: u64,
     /// Resilience-governor state (storm sites, compile quarantines). Pure
     /// host-side bookkeeping; see [`crate::governor`].
-    pub governor: Governor,
+    pub(crate) governor: Governor,
     /// Set when a contained panic left the VM state suspect; further runs
     /// return [`RunError::Poisoned`] instead of executing.
     pub poisoned: bool,
@@ -549,11 +549,6 @@ impl VmState {
         self.shared_cache = Some(cache);
     }
 
-    /// The shared cache attached to this VM, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedCodeCache>> {
-        self.shared_cache.as_ref()
-    }
-
     /// The compiled method behind an id.
     ///
     /// # Panics
@@ -670,8 +665,7 @@ impl VmState {
         level: u8,
         bindings: Option<&Bindings>,
     ) -> Option<CompiledId> {
-        let special = bindings.is_some();
-        if Self::compile_fallible(level, special) {
+        if Self::compile_fallible(level, bindings.is_some()) {
             if !self.compile_allowed(mid, level) {
                 return None;
             }
@@ -683,6 +677,26 @@ impl VmState {
                 return None;
             }
         }
+        Some(self.compile_admitted(mid, level, bindings, false))
+    }
+
+    /// The one sequence every admitted request runs: probe the code cache
+    /// (a hit re-bills and replays, see [`Self::replay_cached`]), else
+    /// produce the artifact, bill, store and trace-stamp it, and record it
+    /// in the cache. `silent` is the injected-recompile path: same probe,
+    /// same store, same cache insert, but no counter, no bill and no trace
+    /// — a cached version is what the deterministic compiler would
+    /// reproduce bit for bit, so cache entries only ever change *which*
+    /// host work later requests skip, never what they bill, and injected
+    /// faults stay cycle-transparent.
+    fn compile_admitted(
+        &mut self,
+        mid: MethodId,
+        level: u8,
+        bindings: Option<&Bindings>,
+        silent: bool,
+    ) -> CompiledId {
+        let special = bindings.is_some();
         let env_fp = compiler::CompileEnv::of(self).fingerprint();
         let binding_fp = binding_fingerprint(bindings);
         match self.code_cache.probe(mid.0, level, binding_fp, env_fp) {
@@ -690,23 +704,29 @@ impl VmState {
                 cid,
                 compile_cycles,
             } => {
-                self.stats.code_cache_hits += 1;
-                self.replay_cached(mid, level, special, cid, compile_cycles);
-                return Some(cid);
+                if !silent {
+                    self.stats.code_cache_hits += 1;
+                    self.replay_cached(mid, level, special, cid, compile_cycles);
+                }
+                return cid;
             }
-            Probe::Miss { invalidated } => {
+            Probe::Miss { invalidated } if !silent => {
                 if invalidated {
                     self.stats.code_cache_invalidations += 1;
                 }
                 self.stats.code_cache_misses += 1;
             }
-            Probe::Disabled => {}
+            _ => {}
         }
         let a = self.produce_artifact(mid, level, bindings, binding_fp, env_fp);
         let cost = a.compile_cycles;
-        let cid = self.install_artifact(mid, level, special, binding_fp, a);
-        self.cache_insert((mid.0, level, binding_fp), env_fp, cid, cost, false);
-        Some(cid)
+        let cid = if silent {
+            self.push_artifact(mid, level, special, binding_fp, a)
+        } else {
+            self.install_artifact(mid, level, special, binding_fp, a)
+        };
+        self.cache_insert((mid.0, level, binding_fp), env_fp, cid, cost, silent);
+        cid
     }
 
     /// Bookkeeping for one failed compile: stats, trace, governor update
@@ -997,18 +1017,23 @@ impl VmState {
     /// cache and running the compiler pipelines of the remaining jobs on
     /// worker threads. Billing, statistics, installation and trace stamps
     /// happen serially in request order, so every modeled observable is
-    /// bit-identical to issuing the requests one by one; only host wall
-    /// time changes. Returns one result per request, in order; `None`
-    /// marks a failed or quarantined compile (the caller keeps whatever
-    /// code it had).
+    /// bit-identical to issuing the requests one by one — except under
+    /// `CompileFail` injection: every quarantine gate and failure draw of
+    /// the batch is evaluated up front, at the pre-batch clock, whereas a
+    /// serial loop evaluates request *i + 1*'s after request *i* is billed
+    /// (a backoff deadline that billing crosses admits the later request
+    /// there and not here). Returns one result per request, in order;
+    /// `None` marks a failed or quarantined compile (the caller keeps
+    /// whatever code it had).
     pub fn compile_batch(&mut self, reqs: Vec<CompileRequest>) -> Vec<Option<CompiledId>> {
         self.compile_batch_impl(reqs, false)
     }
 
     /// Batched [`Self::recompile`]: compiles every `(method, level)` pair
     /// (pipelines parallelized on worker threads), then installs and
-    /// bills serially in request order — the same interleaving the serial
-    /// recompile loop produces. Failed compiles tier down like
+    /// bills serially in request order — the interleaving the serial
+    /// recompile loop produces, with the gate-timing exception stated on
+    /// [`Self::compile_batch`]. Failed compiles tier down like
     /// [`Self::recompile`], so every request yields code.
     pub fn recompile_batch(&mut self, reqs: &[(MethodId, u8)]) -> Vec<CompiledId> {
         let reqs = reqs
@@ -1044,7 +1069,7 @@ impl VmState {
             },
             /// Same key as an earlier job in this batch: re-probe in phase
             /// C, after the twin's insert — exactly what a serial loop sees.
-            DupOf { binding_fp: u64 },
+            DupOf,
             /// Quarantined or injected-to-fail: no compile, result `None`
             /// (or a tier-down when installing).
             Fail,
@@ -1077,7 +1102,7 @@ impl VmState {
             }
             let binding_fp = binding_fingerprint(r.bindings.as_ref());
             if pending.contains(&(r.method.0, r.level, binding_fp)) {
-                slots.push(Slot::DupOf { binding_fp });
+                slots.push(Slot::DupOf);
                 continue;
             }
             match self.code_cache.probe(r.method.0, r.level, binding_fp, env_fp) {
@@ -1238,42 +1263,10 @@ impl VmState {
                     }
                     cid
                 }
-                Slot::DupOf { binding_fp } => {
-                    match self.code_cache.probe(r.method.0, r.level, binding_fp, env_fp) {
-                        Probe::Hit {
-                            cid,
-                            compile_cycles,
-                        } => {
-                            self.stats.code_cache_hits += 1;
-                            self.replay_cached(r.method, r.level, special, cid, compile_cycles);
-                            cid
-                        }
-                        // The twin's entry was evicted between its insert
-                        // and this probe (tiny capacity): fall back to a
-                        // full serial compile, like the serial loop would.
-                        _ => {
-                            self.stats.code_cache_misses += 1;
-                            let a = self.produce_artifact(
-                                r.method,
-                                r.level,
-                                r.bindings.as_ref(),
-                                binding_fp,
-                                env_fp,
-                            );
-                            let cost = a.compile_cycles;
-                            let cid =
-                                self.install_artifact(r.method, r.level, special, binding_fp, a);
-                            self.cache_insert(
-                                (r.method.0, r.level, binding_fp),
-                                env_fp,
-                                cid,
-                                cost,
-                                false,
-                            );
-                            cid
-                        }
-                    }
-                }
+                // Usually a hit on the twin's entry; when a tiny capacity
+                // evicted it between its insert and this probe, a full
+                // serial compile, like the serial loop would make.
+                Slot::DupOf => self.compile_admitted(r.method, r.level, r.bindings.as_ref(), false),
             };
             if install {
                 self.finish_recompile(r.method, r.level, cid);
@@ -1328,7 +1321,7 @@ impl VmState {
     /// updates the JTOC slot and, for virtual methods, the declaring class
     /// TIB and every subclass TIB still inheriting this method. General
     /// code (never special code) propagates to subclasses — paper Fig. 6.
-    pub fn install_general(&mut self, mid: MethodId, cid: CompiledId) {
+    fn install_general(&mut self, mid: MethodId, cid: CompiledId) {
         self.invalidate_inline_caches();
         self.general_code[mid.index()] = Some(cid);
         let md = self.program.method(mid);
@@ -1601,7 +1594,7 @@ impl VmState {
     /// Empties every inline cache in O(1) by bumping the global generation.
     /// Called on any patch that can change a dispatch outcome (code
     /// install, TIB slot write, JTOC override, mutable-class marking).
-    pub fn invalidate_inline_caches(&mut self) {
+    fn invalidate_inline_caches(&mut self) {
         self.ic_version += 1;
         self.stats.ic_invalidations += 1;
     }
@@ -1907,7 +1900,7 @@ impl VmState {
                     return Ok(());
                 };
                 let level = self.compiled(g).level;
-                let cid = self.compile_silent(mid, level);
+                let cid = self.compile_admitted(mid, level, None, true);
                 self.install_general(mid, cid);
             }
             Fault::Oom => {
@@ -1921,43 +1914,9 @@ impl VmState {
         Ok(())
     }
 
-    /// Compiles general code for `mid` at `level` without billing cycles or
-    /// updating any statistic — the injected-recompile path. Routed through
-    /// the code cache like every other compile: a hit returns the cached
-    /// version (which the deterministic compiler would reproduce bit for
-    /// bit), a miss compiles and populates the cache. Neither touches a
-    /// counter or the clock, keeping injected faults cycle-transparent:
-    /// cache entries only ever change *which* host work later requests
-    /// skip, never what they bill.
-    fn compile_silent(&mut self, mid: MethodId, level: u8) -> CompiledId {
-        let env_fp = compiler::CompileEnv::of(self).fingerprint();
-        let binding_fp = binding_fingerprint(None);
-        if let Probe::Hit { cid, .. } = self.code_cache.probe(mid.0, level, binding_fp, env_fp) {
-            return cid;
-        }
-        let a = self.produce_artifact(mid, level, None, binding_fp, env_fp);
-        let cost = a.compile_cycles;
-        let cid = self.push_artifact(mid, level, false, binding_fp, a);
-        self.cache_insert((mid.0, level, binding_fp), env_fp, cid, cost, true);
-        cid
-    }
-
     /// Registers a host-held GC root.
     pub fn add_handle(&mut self, r: ObjRef) {
         self.handles.push(r);
-    }
-
-    /// Host helper: allocates an int array initialized from `data`.
-    ///
-    /// # Errors
-    /// Propagates allocation failures.
-    pub fn alloc_int_array(&mut self, data: &[i64]) -> Result<ObjRef, RunError> {
-        let r = self.alloc_array(dchm_bytecode::ElemKind::Int, data.len() as i64)?;
-        let arr = self.heap.array_mut(r);
-        for (slot, v) in arr.elems.iter_mut().zip(data) {
-            *slot = Value::Int(*v);
-        }
-        Ok(r)
     }
 
     /// Reads a static field.
@@ -1965,20 +1924,9 @@ impl VmState {
         self.statics[self.program.field(field).slot as usize]
     }
 
-    /// Writes a static field (host-side; does not fire patch points).
-    pub fn set_static(&mut self, field: FieldId, v: Value) {
-        let slot = self.program.field(field).slot as usize;
-        self.statics[slot] = v;
-    }
-
     /// Reads an instance field of a heap object (host-side helper).
     pub fn get_field(&self, obj: ObjRef, field: FieldId) -> Value {
         self.heap.object(obj).fields[self.program.field(field).slot as usize]
-    }
-
-    /// Modeled seconds elapsed on the cycle clock.
-    pub fn seconds(&self) -> f64 {
-        CostModel::cycles_to_secs(self.clock)
     }
 }
 

@@ -93,7 +93,7 @@ impl Default for Imt {
 impl Imt {
     /// The slot a selector hashes to.
     #[inline]
-    pub fn slot_of(sel: SelectorId) -> usize {
+    fn slot_of(sel: SelectorId) -> usize {
         sel.0 as usize % IMT_SLOTS
     }
 

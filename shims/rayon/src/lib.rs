@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
-//! Offline shim for the slice of `rayon` the batched compiler uses:
-//! [`scope`], [`Scope::spawn`], [`join`] and [`current_num_threads`].
+//! Offline shim for the slice of `rayon` the batched compiler and the fleet
+//! use: [`scope`], [`Scope::spawn`] and [`current_num_threads`].
 //!
 //! The build environment has no crates.io access, so this maps the API onto
 //! `std::thread::scope`. Two deliberate divergences from real rayon:
@@ -56,21 +56,6 @@ where
     std::thread::scope(|s| op(&Scope { inner: s }))
 }
 
-/// Runs both closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("join: task panicked"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,12 +86,6 @@ mod tests {
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
     }
 
     #[test]
