@@ -38,6 +38,14 @@ use dchm_testutil::{attach_plan, storm_config, storm_salarydb};
 use dchm_vm::{FaultConfig, FaultInjector, Vm, VmConfig};
 use dchm_workloads::{catalog, Scale, Workload};
 
+/// `wall_ms_off` / `wall_ms_on` of the Full-scale storm as committed
+/// immediately before patch-point deliveries ran on install-time tables
+/// (PR 20 tree, same harness): the `prev_wall_ms_*` columns, so the storm
+/// row carries its before and after the way `BENCH_interp.json` carries
+/// `prev_ops_per_sec`. The storm is a different program at `--small`, so
+/// the columns are Full-scale only.
+const PREV_WALL_MS: (f64, f64) = (229.400, 93.215);
+
 struct StormRun {
     ops: u64,
     secs: f64,
@@ -104,6 +112,13 @@ fn storm_row(scale: Scale) -> String {
     // quiet machine, too noisy to gate.
     let ratio = off.clock as f64 / (on.clock as f64).max(1.0);
     let wall_ratio = secs_off.max(1e-12) / secs_on.max(1e-12);
+    let prev = match scale {
+        Scale::Small => String::new(),
+        Scale::Full => format!(
+            "\"prev_wall_ms_off\": {:.3}, \"prev_wall_ms_on\": {:.3}, ",
+            PREV_WALL_MS.0, PREV_WALL_MS.1
+        ),
+    };
     let mut row = String::new();
     let _ = write!(
         row,
@@ -111,7 +126,7 @@ fn storm_row(scale: Scale) -> String {
          \"throughput_ratio\": {ratio:.3}, \"wall_ratio\": {wall_ratio:.3}, \
          \"clock_off\": {}, \"clock_on\": {}, \
          \"ops_per_sec_off\": {rate_off:.0}, \"ops_per_sec_on\": {rate_on:.0}, \
-         \"wall_ms_off\": {:.3}, \"wall_ms_on\": {:.3}, \"output_match\": {}, \
+         \"wall_ms_off\": {:.3}, \"wall_ms_on\": {:.3}, {prev}\"output_match\": {}, \
          \"deopts_off\": {}, \"deopts_on\": {}, \"throttled\": {}, \"blacklisted\": {}}}",
         off.clock,
         on.clock,

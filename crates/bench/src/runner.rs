@@ -227,6 +227,16 @@ mod tests {
                     assert_eq!(keys.join(" "), columns, "{name}: row columns");
                 }
             }
+            if name == "BENCH_resilience.json" {
+                // The storm row carries its host wall before and after.
+                let storm = field("storm");
+                for k in ["wall_ms_off", "wall_ms_on", "prev_wall_ms_off", "prev_wall_ms_on"] {
+                    assert!(
+                        matches!(serde::helpers::field(&storm, k), Ok(&serde::Value::Float(_))),
+                        "{name}: storm.{k}"
+                    );
+                }
+            }
             checked += 1;
         }
         assert!(checked >= 4, "expected >=4 committed BENCH files, found {checked}");

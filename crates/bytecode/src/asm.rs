@@ -90,15 +90,14 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
     Assembler::new().assemble(source)
 }
 
-struct PendingMethod {
-    class: String,
-    name: String,
+struct PendingMethod<'a> {
+    class: &'a str,
+    name: &'a str,
     kind: PendingKind,
     params: Vec<Ty>,
     ret: Option<Ty>,
     visibility: Visibility,
-    body: Vec<(usize, Vec<String>)>,
-    start_line: usize,
+    body: Vec<(usize, Vec<&'a str>)>,
 }
 
 #[derive(PartialEq, Clone, Copy)]
@@ -109,26 +108,29 @@ enum PendingKind {
     Abstract,
 }
 
+/// Name tables. Every name is a slice of the source text, so a lookup
+/// builds no key.
 #[derive(Default)]
-struct Assembler {
-    classes: HashMap<String, ClassId>,
-    fields: HashMap<(String, String), FieldId>,
-    methods: HashMap<(String, String), MethodId>,
+struct Assembler<'a> {
+    classes: HashMap<&'a str, ClassId>,
+    /// `(class name, member name)` → id.
+    fields: HashMap<(&'a str, &'a str), FieldId>,
+    methods: HashMap<(&'a str, &'a str), MethodId>,
 }
 
-impl Assembler {
+impl<'a> Assembler<'a> {
     fn new() -> Self {
         Self::default()
     }
 
-    fn assemble(&mut self, source: &str) -> Result<Program, AsmError> {
+    fn assemble(&mut self, source: &'a str) -> Result<Program, AsmError> {
         let mut pb = ProgramBuilder::new();
-        let mut pending: Vec<PendingMethod> = Vec::new();
-        let mut entry: Option<(usize, String)> = None;
+        let mut pending: Vec<PendingMethod<'a>> = Vec::new();
+        let mut entry: Option<(usize, &'a str)> = None;
 
         // Pass 1: declarations (classes, fields, method headers + raw bodies).
-        let mut cur_class: Option<String> = None;
-        let mut cur_method: Option<PendingMethod> = None;
+        let mut cur_class: Option<&'a str> = None;
+        let mut cur_method: Option<PendingMethod<'a>> = None;
 
         for (i, raw) in source.lines().enumerate() {
             let line_no = i + 1;
@@ -136,8 +138,10 @@ impl Assembler {
             if line.is_empty() {
                 continue;
             }
-            let toks = tokenize(line);
-            let head = toks[0].as_str();
+            let toks: Vec<&str> = tokenize(line).collect();
+            let Some(&head) = toks.first() else {
+                return err(line_no, format!("no directive or instruction in `{line}`"));
+            };
 
             if let Some(pm) = &mut cur_method {
                 if head == ".end_method" {
@@ -153,20 +157,17 @@ impl Assembler {
                     if cur_class.is_some() {
                         return err(line_no, "nested class declaration (missing .end?)");
                     }
-                    let name = toks
-                        .get(1)
-                        .ok_or_else(|| AsmError {
-                            line: line_no,
-                            message: "class name expected".into(),
-                        })?
-                        .clone();
-                    let mut cb = pb.class(&name);
+                    let name = *toks.get(1).ok_or_else(|| AsmError {
+                        line: line_no,
+                        message: "class name expected".into(),
+                    })?;
+                    let mut cb = pb.class(name);
                     if head == ".interface" {
                         cb = cb.interface();
                     }
                     let mut j = 2;
                     while j < toks.len() {
-                        match toks[j].as_str() {
+                        match toks[j] {
                             "extends" => {
                                 let sup = toks.get(j + 1).ok_or_else(|| AsmError {
                                     line: line_no,
@@ -185,7 +186,7 @@ impl Assembler {
                                     && toks[j] != "extends"
                                     && toks[j] != "implements"
                                 {
-                                    let iname = &toks[j];
+                                    let iname = toks[j];
                                     let iid =
                                         *self.classes.get(iname).ok_or_else(|| AsmError {
                                             line: line_no,
@@ -201,7 +202,7 @@ impl Assembler {
                         }
                     }
                     let id = cb.build();
-                    self.classes.insert(name.clone(), id);
+                    self.classes.insert(name, id);
                     cur_class = Some(name);
                 }
                 ".end" => {
@@ -210,21 +211,21 @@ impl Assembler {
                     }
                 }
                 ".field" | ".sfield" => {
-                    let class_name = cur_class.clone().ok_or_else(|| AsmError {
+                    let class_name = cur_class.ok_or_else(|| AsmError {
                         line: line_no,
                         message: "field outside class".into(),
                     })?;
-                    let class = self.classes[&class_name];
-                    let fname = toks.get(1).ok_or_else(|| AsmError {
+                    let class = self.classes[class_name];
+                    let fname = *toks.get(1).ok_or_else(|| AsmError {
                         line: line_no,
                         message: "field name expected".into(),
                     })?;
-                    let ty = parse_ty(toks.get(2).map(String::as_str), line_no, self)?;
+                    let ty = parse_ty(toks.get(2).copied(), line_no, self)?;
                     let is_static = head == ".sfield";
                     let mut vis = Visibility::Package;
                     let mut initial = ty.default_value();
-                    for t in toks.iter().skip(3) {
-                        match t.as_str() {
+                    for &t in toks.iter().skip(3) {
+                        match t {
                             "private" => vis = Visibility::Private,
                             "public" => vis = Visibility::Public,
                             lit => {
@@ -233,21 +234,18 @@ impl Assembler {
                         }
                     }
                     let id = pb.field_raw(class, fname, ty, is_static, vis, initial);
-                    self.fields.insert((class_name.clone(), fname.clone()), id);
+                    self.fields.insert((class_name, fname), id);
                 }
                 ".method" | ".smethod" | ".amethod" => {
-                    let class_name = cur_class.clone().ok_or_else(|| AsmError {
+                    let class_name = cur_class.ok_or_else(|| AsmError {
                         line: line_no,
                         message: "method outside class".into(),
                     })?;
-                    let name = toks
-                        .get(1)
-                        .ok_or_else(|| AsmError {
-                            line: line_no,
-                            message: "method name expected".into(),
-                        })?
-                        .clone();
-                    let ret = match toks.get(2).map(String::as_str) {
+                    let name = *toks.get(1).ok_or_else(|| AsmError {
+                        line: line_no,
+                        message: "method name expected".into(),
+                    })?;
+                    let ret = match toks.get(2).copied() {
                         Some("void") => None,
                         other => Some(parse_ty(other, line_no, self)?),
                     };
@@ -265,7 +263,6 @@ impl Assembler {
                         ret,
                         visibility: vis,
                         body: Vec::new(),
-                        start_line: line_no,
                     };
                     if kind == PendingKind::Abstract {
                         pending.push(pm);
@@ -274,28 +271,27 @@ impl Assembler {
                     }
                 }
                 ".ctor" => {
-                    let class_name = cur_class.clone().ok_or_else(|| AsmError {
+                    let class_name = cur_class.ok_or_else(|| AsmError {
                         line: line_no,
                         message: "constructor outside class".into(),
                     })?;
                     let (params, vis) = parse_params(&toks[1..], line_no, self)?;
                     cur_method = Some(PendingMethod {
                         class: class_name,
-                        name: crate::builder::CTOR_NAME.to_string(),
+                        name: crate::builder::CTOR_NAME,
                         kind: PendingKind::Ctor,
                         params,
                         ret: None,
                         visibility: vis,
                         body: Vec::new(),
-                        start_line: line_no,
                     });
                 }
                 ".entry" => {
-                    let target = toks.get(1).ok_or_else(|| AsmError {
+                    let target = *toks.get(1).ok_or_else(|| AsmError {
                         line: line_no,
                         message: "entry target expected (Class.method)".into(),
                     })?;
-                    entry = Some((line_no, target.clone()));
+                    entry = Some((line_no, target));
                 }
                 other => {
                     return err(line_no, format!("unexpected directive {other}"));
@@ -311,10 +307,10 @@ impl Assembler {
 
         // Pass 2: assemble bodies (all classes/fields now known).
         for pm in pending {
-            let class = self.classes[&pm.class];
+            let class = self.classes[pm.class];
             let sig = MethodSig::new(pm.params.clone(), pm.ret);
             let mid = match pm.kind {
-                PendingKind::Abstract => pb.abstract_method(class, &pm.name, sig),
+                PendingKind::Abstract => pb.abstract_method(class, pm.name, sig),
                 PendingKind::Ctor => {
                     let mut mb = pb.ctor(class, pm.params.clone());
                     mb.visibility(pm.visibility);
@@ -322,26 +318,25 @@ impl Assembler {
                     mb.build()
                 }
                 PendingKind::Instance => {
-                    let mut mb = pb.method(class, &pm.name, sig);
+                    let mut mb = pb.method(class, pm.name, sig);
                     mb.visibility(pm.visibility);
                     self.emit_body(&mut mb, &pm)?;
                     mb.build()
                 }
                 PendingKind::Static => {
-                    let mut mb = pb.static_method(class, &pm.name, sig);
+                    let mut mb = pb.static_method(class, pm.name, sig);
                     mb.visibility(pm.visibility);
                     self.emit_body(&mut mb, &pm)?;
                     mb.build()
                 }
             };
-            self.methods.insert((pm.class.clone(), pm.name.clone()), mid);
+            self.methods.insert((pm.class, pm.name), mid);
         }
 
         if let Some((line_no, target)) = entry {
-            let (cname, mname) = split_dotted(&target, line_no)?;
             let mid = *self
                 .methods
-                .get(&(cname.to_string(), mname.to_string()))
+                .get(&split_dotted(target, line_no)?)
                 .ok_or_else(|| AsmError {
                     line: line_no,
                     message: format!("unknown entry {target}"),
@@ -351,38 +346,29 @@ impl Assembler {
         Ok(pb.finish()?)
     }
 
-    fn emit_body(&self, mb: &mut MethodBuilder<'_>, pm: &PendingMethod) -> Result<(), AsmError> {
+    fn emit_body(&self, mb: &mut MethodBuilder<'_>, pm: &PendingMethod<'a>) -> Result<(), AsmError> {
         // Labels: two passes over the body lines.
-        let mut labels: HashMap<String, Label> = HashMap::new();
+        let mut labels: HashMap<&str, Label> = HashMap::new();
         for (line_no, toks) in &pm.body {
             if toks.len() == 1 && toks[0].ends_with(':') {
-                let name = toks[0].trim_end_matches(':').to_string();
-                if labels.insert(name.clone(), mb.label()).is_some() {
+                let name = toks[0].trim_end_matches(':');
+                if labels.insert(name, mb.label()).is_some() {
                     return err(*line_no, format!("duplicate label {name}"));
                 }
             }
         }
-        let mut max_reg: u16 = 0;
         // Reserve registers mentioned anywhere in the body up front.
-        for (_, toks) in &pm.body {
-            for t in toks {
-                if let Some(r) = parse_reg_opt(t) {
-                    max_reg = max_reg.max(r.0 + 1);
-                }
-            }
-        }
-        mb.ensure_regs(max_reg);
+        let regs = pm.body.iter().flat_map(|(_, toks)| toks).filter_map(|t| parse_reg_opt(t));
+        mb.ensure_regs(regs.map(|r| r.0 + 1).max().unwrap_or(0));
 
         for (line_no, toks) in &pm.body {
-            let line_no = *line_no;
             if toks.len() == 1 && toks[0].ends_with(':') {
                 let name = toks[0].trim_end_matches(':');
                 mb.bind(labels[name]);
                 continue;
             }
-            self.emit_instr(mb, &labels, line_no, toks)?;
+            self.emit_instr(mb, &labels, *line_no, toks)?;
         }
-        let _ = pm.start_line;
         Ok(())
     }
 
@@ -390,11 +376,11 @@ impl Assembler {
     fn emit_instr(
         &self,
         mb: &mut MethodBuilder<'_>,
-        labels: &HashMap<String, Label>,
+        labels: &HashMap<&str, Label>,
         line: usize,
-        toks: &[String],
+        toks: &[&str],
     ) -> Result<(), AsmError> {
-        let op = toks[0].as_str();
+        let op = toks[0];
         let reg = |k: usize| -> Result<Reg, AsmError> {
             toks.get(k)
                 .and_then(|t| parse_reg_opt(t))
@@ -412,7 +398,7 @@ impl Assembler {
                 })
         };
         let label = |k: usize| -> Result<Label, AsmError> {
-            let name = toks.get(k).ok_or_else(|| AsmError {
+            let name = *toks.get(k).ok_or_else(|| AsmError {
                 line,
                 message: "label expected".into(),
             })?;
@@ -422,13 +408,12 @@ impl Assembler {
             })
         };
         let field = |k: usize| -> Result<FieldId, AsmError> {
-            let t = toks.get(k).ok_or_else(|| AsmError {
+            let t = *toks.get(k).ok_or_else(|| AsmError {
                 line,
                 message: "Class.field expected".into(),
             })?;
-            let (c, f) = split_dotted(t, line)?;
             self.fields
-                .get(&(c.to_string(), f.to_string()))
+                .get(&split_dotted(t, line)?)
                 .copied()
                 .ok_or_else(|| AsmError {
                     line,
@@ -436,7 +421,7 @@ impl Assembler {
                 })
         };
         let class = |k: usize| -> Result<ClassId, AsmError> {
-            let t = toks.get(k).ok_or_else(|| AsmError {
+            let t = *toks.get(k).ok_or_else(|| AsmError {
                 line,
                 message: "class expected".into(),
             })?;
@@ -508,7 +493,7 @@ impl Assembler {
             "i2d" => mb.i2d(reg(1)?, reg(2)?),
             "d2i" => mb.d2i(reg(1)?, reg(2)?),
             "icmp" | "dcmp" => {
-                let c = parse_cmp(toks.get(1).map(String::as_str), line)?;
+                let c = parse_cmp(toks.get(1).copied(), line)?;
                 if op == "icmp" {
                     mb.icmp(c, reg(2)?, reg(3)?, reg(4)?);
                 } else {
@@ -538,18 +523,18 @@ impl Assembler {
                 if op == "callvirtual" {
                     let d = reg(1)?;
                     let o = reg(2)?;
-                    let name = toks.get(3).cloned().ok_or_else(|| AsmError {
+                    let name = *toks.get(3).ok_or_else(|| AsmError {
                         line,
                         message: "method name expected".into(),
                     })?;
-                    mb.call_virtual(Some(d), o, &name, rest_regs(4)?);
+                    mb.call_virtual(Some(d), o, name, rest_regs(4)?);
                 } else {
                     let o = reg(1)?;
-                    let name = toks.get(2).cloned().ok_or_else(|| AsmError {
+                    let name = *toks.get(2).ok_or_else(|| AsmError {
                         line,
                         message: "method name expected".into(),
                     })?;
-                    mb.call_virtual(None, o, &name, rest_regs(3)?);
+                    mb.call_virtual(None, o, name, rest_regs(3)?);
                 }
             }
             "callspecial" | "callspecial_v" => {
@@ -560,12 +545,12 @@ impl Assembler {
                     (None, 1)
                 };
                 let c = class(base)?;
-                let name = toks.get(base + 1).cloned().ok_or_else(|| AsmError {
+                let name = *toks.get(base + 1).ok_or_else(|| AsmError {
                     line,
                     message: "method name expected".into(),
                 })?;
                 let o = reg(base + 2)?;
-                mb.call_special(dst, c, &name, o, rest_regs(base + 3)?);
+                mb.call_special(dst, c, name, o, rest_regs(base + 3)?);
             }
             "callctor" => {
                 // callctor obj, Class, args...
@@ -581,14 +566,13 @@ impl Assembler {
                 } else {
                     (None, 1)
                 };
-                let t = toks.get(base).ok_or_else(|| AsmError {
+                let t = *toks.get(base).ok_or_else(|| AsmError {
                     line,
                     message: "Class.method expected".into(),
                 })?;
-                let (c, mname) = split_dotted(t, line)?;
                 let mid = *self
                     .methods
-                    .get(&(c.to_string(), mname.to_string()))
+                    .get(&split_dotted(t, line)?)
                     .ok_or_else(|| AsmError {
                         line,
                         message: format!("unknown method {t}"),
@@ -603,18 +587,18 @@ impl Assembler {
                     (None, 1)
                 };
                 let i = class(base)?;
-                let name = toks.get(base + 1).cloned().ok_or_else(|| AsmError {
+                let name = *toks.get(base + 1).ok_or_else(|| AsmError {
                     line,
                     message: "method name expected".into(),
                 })?;
                 let o = reg(base + 2)?;
-                mb.call_interface(dst, i, o, &name, rest_regs(base + 3)?);
+                mb.call_interface(dst, i, o, name, rest_regs(base + 3)?);
             }
             "instanceof" => mb.instance_of(reg(1)?, reg(2)?, class(3)?),
             "checkcast" => mb.check_cast(reg(1)?, class(2)?),
             "newarr" => {
                 let d = reg(1)?;
-                let k = parse_elem_kind(toks.get(2).map(String::as_str), line)?;
+                let k = parse_elem_kind(toks.get(2).copied(), line)?;
                 mb.new_arr(d, k, reg(3)?);
             }
             "aload" => mb.aload(reg(1)?, reg(2)?, reg(3)?),
@@ -646,11 +630,9 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
-fn tokenize(line: &str) -> Vec<String> {
+fn tokenize(line: &str) -> impl Iterator<Item = &str> {
     line.split(|c: char| c.is_whitespace() || c == ',' || c == '(' || c == ')')
         .filter(|t| !t.is_empty())
-        .map(str::to_string)
-        .collect()
 }
 
 fn parse_reg_opt(t: &str) -> Option<Reg> {
@@ -658,7 +640,7 @@ fn parse_reg_opt(t: &str) -> Option<Reg> {
     rest.parse::<u16>().ok().map(Reg)
 }
 
-fn parse_ty(t: Option<&str>, line: usize, asm: &Assembler) -> Result<Ty, AsmError> {
+fn parse_ty(t: Option<&str>, line: usize, asm: &Assembler<'_>) -> Result<Ty, AsmError> {
     match t {
         Some("int") => Ok(Ty::Int),
         Some("double") => Ok(Ty::Double),
@@ -674,14 +656,14 @@ fn parse_ty(t: Option<&str>, line: usize, asm: &Assembler) -> Result<Ty, AsmErro
 }
 
 fn parse_params(
-    toks: &[String],
+    toks: &[&str],
     line: usize,
-    asm: &Assembler,
+    asm: &Assembler<'_>,
 ) -> Result<(Vec<Ty>, Visibility), AsmError> {
     let mut params = Vec::new();
     let mut vis = Visibility::Public;
-    for t in toks {
-        match t.as_str() {
+    for &t in toks {
+        match t {
             "private" => vis = Visibility::Private,
             "public" => vis = Visibility::Public,
             other => params.push(parse_ty(Some(other), line, asm)?),
@@ -857,6 +839,17 @@ Ldone:
         let e = assemble(src).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("bogus"));
+    }
+
+    #[test]
+    fn separator_only_line_is_an_error_not_a_panic() {
+        // Non-empty after trimming, yet no token: at top level...
+        let e = assemble(".class Main\n,\n.end\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "no directive or instruction in `,`"));
+        // ...and inside a method body, where the head is read first too.
+        let src = ".class Main\n.smethod main void ()\n  ret\n  ( )\n.end_method\n.end\n";
+        let e = assemble(src).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (4, "no directive or instruction in `( )`"));
     }
 
     #[test]

@@ -39,19 +39,24 @@ struct MethodRt {
     special: Vec<Option<CompiledId>>,
 }
 
-/// Per-mutable-class runtime bookkeeping.
+/// Per-mutable-class runtime bookkeeping, resolved once at install so a
+/// patch-point delivery neither hashes nor allocates.
 #[derive(Debug)]
 struct ClassRt {
     class: ClassId,
+    class_tib: TibId,
     inst_fields: Vec<FieldId>,
     states: Vec<HotState>,
-    /// Distinct instance parts among the hot states.
-    inst_parts: Vec<Vec<(FieldId, Value)>>,
+    /// Distinct instance parts among the hot states, each field as its
+    /// storage slot in the object.
+    inst_parts: Vec<Vec<(usize, Value)>>,
     /// Hot state -> instance part index.
     state_part: Vec<usize>,
     /// One special TIB per instance part (empty for static-only classes).
     special_tibs: Vec<TibId>,
     methods: Vec<MethodRt>,
+    /// The vtable slots of `methods`: what `sync_unmanaged_slots` skips.
+    managed: Vec<u32>,
     /// Static-part satisfaction per hot state as of the last refresh —
     /// only used to emit class-wide `StateTransition` trace events on
     /// toggles (tracing is host-side; this never affects installs).
@@ -84,9 +89,14 @@ pub struct MutationEngine {
     plan: MutationPlan,
     olc: OlcReport,
     rt: Vec<ClassRt>,
-    class_index: HashMap<ClassId, usize>,
-    /// static state field -> dependent class indices.
-    static_dep: HashMap<FieldId, Vec<usize>>,
+    /// Class id -> index into `rt`, for the classes whose instances can
+    /// flip (those with special TIBs); one entry per class of the program.
+    flip_rt: Vec<Option<usize>>,
+    /// Static field id -> dependent class indices; one entry per field of
+    /// the program.
+    static_dep: Vec<Vec<usize>>,
+    /// Which hot states' static parts hold: `eval_statics`' kept buffer.
+    statics_ok: Vec<bool>,
     /// mutable method -> (class rt index, method rt index).
     method_index: HashMap<MethodId, (usize, usize)>,
     installed: bool,
@@ -99,8 +109,9 @@ impl MutationEngine {
             plan,
             olc,
             rt: Vec::new(),
-            class_index: HashMap::new(),
-            static_dep: HashMap::new(),
+            flip_rt: Vec::new(),
+            static_dep: Vec::new(),
+            statics_ok: Vec::new(),
             method_index: HashMap::new(),
             installed: false,
         }
@@ -124,6 +135,8 @@ impl MutationEngine {
         self.installed = true;
 
         let mut spec = PatchSpec::default();
+        self.flip_rt = vec![None; vm.program.classes.len()];
+        self.static_dep = vec![Vec::new(); vm.program.fields.len()];
         for (ci, mc) in self.plan.classes.iter().enumerate() {
             spec.instance_fields.extend(mc.instance_state_fields.iter().copied());
             spec.static_fields.extend(mc.static_state_fields.iter().copied());
@@ -144,19 +157,20 @@ impl MutationEngine {
                 }
             }
             for &f in &mc.static_state_fields {
-                self.static_dep.entry(f).or_default().push(ci);
+                self.static_dep[f.index()].push(ci);
             }
-            self.class_index.insert(mc.class, ci);
 
             // Distinct instance parts -> special TIBs.
-            let mut inst_parts: Vec<Vec<(FieldId, Value)>> = Vec::new();
+            let mut inst_parts: Vec<Vec<(usize, Value)>> = Vec::new();
             let mut state_part = Vec::with_capacity(mc.hot_states.len());
             for st in &mc.hot_states {
-                let pos = inst_parts.iter().position(|p| parts_eq(p, &st.instance_values));
+                let slot = |&(f, v)| (vm.program.field(f).slot as usize, v);
+                let part: Vec<(usize, Value)> = st.instance_values.iter().map(slot).collect();
+                let pos = inst_parts.iter().position(|p| parts_eq(p, &part));
                 let idx = match pos {
                     Some(i) => i,
                     None => {
-                        inst_parts.push(st.instance_values.clone());
+                        inst_parts.push(part);
                         inst_parts.len() - 1
                     }
                 };
@@ -169,6 +183,9 @@ impl MutationEngine {
             } else {
                 Vec::new()
             };
+            if !special_tibs.is_empty() {
+                self.flip_rt[mc.class.index()] = Some(ci);
+            }
 
             let methods: Vec<MethodRt> = mc
                 .mutable_methods
@@ -194,18 +211,20 @@ impl MutationEngine {
 
             self.rt.push(ClassRt {
                 class: mc.class,
+                class_tib: vm.class_tib(mc.class),
                 inst_fields: mc.instance_state_fields.clone(),
                 states: mc.hot_states.clone(),
                 inst_parts,
                 state_part,
                 special_tibs,
+                managed: methods.iter().filter_map(|m| m.vslot).collect(),
                 methods,
                 prev_statics_ok: Vec::new(),
             });
             // Seed from the statics as they stand at install so trace
             // events report genuine toggles, not the initial condition.
-            let ok = self.statics_ok(vm, ci);
-            self.rt[ci].prev_statics_ok = ok;
+            eval_statics(&mut self.statics_ok, &self.rt[ci].states, vm);
+            self.rt[ci].prev_statics_ok.clone_from(&self.statics_ok);
         }
         vm.patch_spec = spec;
         vm.hints.k = self.plan.k;
@@ -295,11 +314,11 @@ impl MutationEngine {
 
     /// Flips the TIB of every live instance of a mutable class according to
     /// its *current* field values.
-    fn adopt_objects(&self, vm: &mut VmState) {
+    fn adopt_objects(&mut self, vm: &mut VmState) {
         let candidates: Vec<ObjRef> = vm
             .heap
             .iter_live_objects()
-            .filter(|(_, class)| self.class_index.contains_key(class))
+            .filter(|(_, class)| self.flip_rt[class.index()].is_some())
             .map(|(obj, _)| obj)
             .collect();
         for obj in candidates {
@@ -311,32 +330,15 @@ impl MutationEngine {
     // Internals
     // -------------------------------------------------------------
 
-    /// Which hot states' static parts currently hold.
-    fn statics_ok(&self, vm: &VmState, ci: usize) -> Vec<bool> {
-        self.rt[ci]
-            .states
-            .iter()
-            .map(|st| {
-                st.static_values
-                    .iter()
-                    .all(|&(f, v)| vm.get_static(f).key_eq(v))
-            })
-            .collect()
-    }
-
     /// Fig. 4 (top/middle): repoint `obj`'s TIB per its instance state.
-    fn update_object_tib(&self, vm: &mut VmState, obj: ObjRef) {
-        let class = vm.heap.object(obj).class;
-        let Some(&ci) = self.class_index.get(&class) else {
+    fn update_object_tib(&mut self, vm: &mut VmState, obj: ObjRef) {
+        let o = vm.heap.object(obj);
+        let Some(ci) = self.flip_rt[o.class.index()] else {
             return; // subclass instances are never mutated (Fig. 6)
         };
-        let rt = &self.rt[ci];
-        if rt.special_tibs.is_empty() {
-            return;
-        }
-        let matched = rt.inst_parts.iter().position(|part| {
-            part.iter()
-                .all(|&(f, v)| vm.get_field(obj, f).key_eq(v))
+        let current = o.tib;
+        let matched = self.rt[ci].inst_parts.iter().position(|part| {
+            part.iter().all(|&(slot, v)| o.fields[slot].key_eq(v))
         });
         let target = match matched {
             Some(p) => {
@@ -346,11 +348,11 @@ impl MutationEngine {
                 // with the current verdicts before any object dispatches
                 // through it.
                 self.resync_part_slots(vm, ci, p);
-                rt.special_tibs[p]
+                self.rt[ci].special_tibs[p]
             }
-            None => vm.class_tib(class),
+            None => self.rt[ci].class_tib,
         };
-        if vm.heap.object(obj).tib != target {
+        if current != target {
             vm.set_object_tib(obj, target);
         }
     }
@@ -361,18 +363,29 @@ impl MutationEngine {
     /// [`VmState::special_usable`]. Writes only slots that actually change,
     /// so a flip-in with nothing to restore stays free of cache
     /// invalidations.
-    fn resync_part_slots(&self, vm: &mut VmState, ci: usize, p: usize) {
-        let statics_ok = self.statics_ok(vm, ci);
+    ///
+    /// While [`VmState::flip_in_quiet`] holds there is nothing to restore:
+    /// every special is usable, so `pick` returns what it returned to the
+    /// last `refresh_class` — which runs after every event that moves an
+    /// input of `pick` (static state store, new specials, announced general
+    /// install) — and each slot already holds it. A release build leaves at
+    /// once; a debug build walks the slots and asserts that none differs.
+    fn resync_part_slots(&mut self, vm: &mut VmState, ci: usize, p: usize) {
+        let quiet = vm.flip_in_quiet();
+        if quiet && !cfg!(debug_assertions) {
+            return;
+        }
+        eval_statics(&mut self.statics_ok, &self.rt[ci].states, vm);
         let rt = &self.rt[ci];
-        let class_tib = vm.class_tib(rt.class);
         let tib = rt.special_tibs[p];
         for m in &rt.methods {
             let Some(vslot) = m.vslot else { continue };
-            let slot = match rt.pick(vm, m, Some(p), &statics_ok) {
+            let slot = match rt.pick(vm, m, Some(p), &self.statics_ok) {
                 Some(cid) => CodeSlot::Code(cid),
-                None => vm.tib_slot(class_tib, vslot),
+                None => vm.tib_slot(rt.class_tib, vslot),
             };
             if vm.tib_slot(tib, vslot) != slot {
+                debug_assert!(!quiet, "flip-in quiet, yet slot {vslot} of {tib:?} is stale");
                 vm.set_tib_slot(tib, vslot, slot);
             }
         }
@@ -381,7 +394,8 @@ impl MutationEngine {
     /// Reinstalls mutable-method code pointers for one class according to
     /// the current static state (Fig. 4 bottom / Fig. 5 install step).
     fn refresh_class(&mut self, vm: &mut VmState, ci: usize) {
-        let statics_ok = self.statics_ok(vm, ci);
+        eval_statics(&mut self.statics_ok, &self.rt[ci].states, vm);
+        let statics_ok = &self.statics_ok;
         if vm.tracer.on() {
             // Class-wide transitions: a hot state's *static* part became
             // (un)satisfied. `obj` is NO_ID — the flip applies to every
@@ -403,9 +417,9 @@ impl MutationEngine {
                 }
             }
         }
-        self.rt[ci].prev_statics_ok.clone_from(&statics_ok);
+        self.rt[ci].prev_statics_ok.clone_from(statics_ok);
         let rt = &self.rt[ci];
-        let class_tib = vm.class_tib(rt.class);
+        let class_tib = rt.class_tib;
 
         for m in &rt.methods {
             if m.is_static || m.is_private_instance {
@@ -414,7 +428,7 @@ impl MutationEngine {
                 // state (Sec. 3.2.3): for instance-state classes, private
                 // methods are not mutated.
                 let special = if rt.inst_fields.is_empty() || m.is_static {
-                    rt.pick(vm, m, None, &statics_ok)
+                    rt.pick(vm, m, None, statics_ok)
                 } else {
                     None
                 };
@@ -425,7 +439,7 @@ impl MutationEngine {
             let general = vm.tib_slot(class_tib, vslot);
             if rt.special_tibs.is_empty() {
                 // Static-only class: the class TIB itself is specialized.
-                let slot = match rt.pick(vm, m, None, &statics_ok) {
+                let slot = match rt.pick(vm, m, None, statics_ok) {
                     Some(cid) => CodeSlot::Code(cid),
                     None => match vm.general_code[m.method.index()] {
                         Some(cid) => CodeSlot::Code(cid),
@@ -435,7 +449,7 @@ impl MutationEngine {
                 vm.set_tib_slot(class_tib, vslot, slot);
             } else {
                 for (p, &tib) in rt.special_tibs.iter().enumerate() {
-                    let slot = match rt.pick(vm, m, Some(p), &statics_ok) {
+                    let slot = match rt.pick(vm, m, Some(p), statics_ok) {
                         Some(cid) => CodeSlot::Code(cid),
                         None => general,
                     };
@@ -449,9 +463,8 @@ impl MutationEngine {
     /// does not manage (inherited and non-mutable methods).
     fn sync_unmanaged_slots(&self, vm: &mut VmState, ci: usize) {
         let rt = &self.rt[ci];
-        let managed: Vec<u32> = rt.methods.iter().filter_map(|m| m.vslot).collect();
         for &tib in &rt.special_tibs {
-            vm.sync_special_from_class(rt.class, tib, &managed);
+            vm.sync_special_from_class(rt.class, tib, &rt.managed);
         }
     }
 
@@ -531,7 +544,19 @@ fn spec_fields_read(
     seen.len()
 }
 
-fn parts_eq(a: &[(FieldId, Value)], b: &[(FieldId, Value)]) -> bool {
+/// Re-evaluates into `out` which of `states`' static parts currently hold.
+/// `out` has held every class of the plan by the end of `install`, so no
+/// later call allocates.
+fn eval_statics(out: &mut Vec<bool>, states: &[HotState], vm: &VmState) {
+    out.clear();
+    out.extend(states.iter().map(|st| {
+        st.static_values
+            .iter()
+            .all(|&(f, v)| vm.get_static(f).key_eq(v))
+    }));
+}
+
+fn parts_eq(a: &[(usize, Value)], b: &[(usize, Value)]) -> bool {
     a.len() == b.len()
         && a.iter()
             .zip(b)
@@ -550,10 +575,8 @@ impl MutationHandler for MutationEngine {
     }
 
     fn on_static_store(&mut self, vm: &mut VmState, field: FieldId) {
-        if let Some(deps) = self.static_dep.get(&field) {
-            for &ci in deps.clone().iter() {
-                self.refresh_class(vm, ci);
-            }
+        for i in 0..self.static_dep[field.index()].len() {
+            self.refresh_class(vm, self.static_dep[field.index()][i]);
         }
     }
 

@@ -21,6 +21,7 @@ use crate::metrics::Histogram;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Live objects and bytes of one class (all its TIBs pooled).
 #[derive(Clone, Debug, Default, Serialize)]
@@ -132,13 +133,33 @@ impl fmt::Display for CensusSnapshot {
     }
 }
 
+/// Hasher for the dense `u32` object ids keying [`ResidencyTracker::open`]
+/// (heap cell indices the VM hands out, never outside input): one multiply
+/// by 2^64/φ. Consecutive ids land in distinct buckets (the product's low
+/// bits are a bijection of the id's), and the top bits — the table cuts its
+/// control bytes from them; the identity leaves them zero — mix the whole id.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keys are u32 object ids");
+    }
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Tracks how long each object has been in its current special state.
 /// Owned by the VM and updated at every TIB flip, tracing on or off.
 #[derive(Debug, Default)]
 pub struct ResidencyTracker {
     /// Object → (cycle it entered its current special state, class,
     /// state index). Objects in a class TIB have no entry.
-    open: HashMap<u32, (u64, u32, u32)>,
+    open: HashMap<u32, (u64, u32, u32), BuildHasherDefault<IdHasher>>,
     /// (class, state) → completed stays.
     closed: BTreeMap<(u32, u32), (u64, Histogram)>,
 }

@@ -1406,22 +1406,19 @@ impl VmState {
 
     /// Repoints an object's TIB pointer (the mutation itself).
     pub fn set_object_tib(&mut self, obj: ObjRef, tib: TibId) {
-        debug_assert_eq!(
-            self.heap.object(obj).class,
-            self.tibs[tib.index()].class,
-            "TIB flip must preserve the type-information entry"
-        );
-        let from = self.heap.object(obj).tib;
-        self.heap.object_mut(obj).tib = tib;
+        let to = &self.tibs[tib.index()];
+        let o = self.heap.object_mut(obj);
+        debug_assert_eq!(o.class, to.class, "TIB flip must preserve the type-information entry");
+        let from = std::mem::replace(&mut o.tib, tib);
         self.stats.tib_flips += 1;
         // Residency feeds the census, so it must track every flip — not
         // just traced ones — or the census would change shape when a
         // tracer attaches.
         self.residency.on_flip(
             obj.0,
-            self.tibs[tib.index()].class.0,
+            to.class.0,
             self.tibs[from.index()].special_state(),
-            self.tibs[tib.index()].special_state(),
+            to.special_state(),
             self.clock,
         );
         if self.tracer.on() {
@@ -1576,6 +1573,19 @@ impl VmState {
     /// compare) rather than probing the governor's site table.
     pub fn special_usable(&self, cid: CompiledId) -> bool {
         self.code[cid.index()].blocked_until <= self.clock
+    }
+
+    /// True while a flip-in finds special-TIB slots as the mutation engine's
+    /// last refresh left them. The governor has never throttled or
+    /// blacklisted a special in this VM: every `blocked_until` is still 0,
+    /// so [`Self::special_usable`] holds for all code and `pin_special` has
+    /// reverted no slot. And the fault injector has made no silent
+    /// recompile, the one general install that queues no recompilation
+    /// event (`maybe_inject_at_alloc`).
+    pub fn flip_in_quiet(&self) -> bool {
+        self.stats.specials_throttled == 0
+            && self.stats.specials_blacklisted == 0
+            && self.injector.as_ref().is_none_or(|i| i.recompiles == 0)
     }
 
     /// True when the governor permits compiling/installing a special of

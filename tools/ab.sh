@@ -20,7 +20,7 @@
 # --counts times nothing: each side makes one `--quick --trace 1` set and
 # every line it tags `exact` (counts that repeat bit for bit: modeled clock
 # and ops, compiles, deopts, cache hits, ...) is compared. Prints the lines
-# that differ and exits 1 if any does, else how many were compared.
+# that differ and exits 1 if any does or a side has none, else their number.
 set -euo pipefail
 usage() { sed -n '2,23p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 1 ] || usage
@@ -57,7 +57,8 @@ if [ -n "$counts" ]; then
     for side in parent change; do
         bin="${side}_bin"
         echo "$side: --quick --trace 1 --seed $seed" >&2
-        "${!bin}" --quick --trace 1 --seed "$seed" | grep ' exact$' > "$tmp/exact-$side"
+        "${!bin}" --quick --trace 1 --seed "$seed" | grep ' exact$' > "$tmp/exact-$side" ||
+            { echo "$side: run failed or printed no exact line" >&2; exit 1; }
     done
     if diff "$tmp/exact-parent" "$tmp/exact-change"; then
         echo "all $(wc -l < "$tmp/exact-change") exact lines identical"
