@@ -268,7 +268,6 @@ impl MutationEngine {
         let spec = vm.state.patch_spec.clone();
         let mutable: std::collections::HashSet<MethodId> =
             self.method_index.keys().copied().collect();
-        let mut to_recompile: Vec<(MethodId, u8)> = Vec::new();
         for (mi, md) in program.methods.iter().enumerate() {
             let mid = MethodId::from_index(mi);
             let Some(level) = vm.state.level_of(mid) else {
@@ -288,16 +287,9 @@ impl MutationEngine {
                     )
                 });
             if needs {
-                to_recompile.push((mid, level));
+                vm.state.recompile(mid, level);
             }
         }
-        // One batch: the compiler pipelines run on worker threads while
-        // billing/installation stay serial in method order, so the result
-        // is bit-identical to recompiling one method at a time. In a fleet
-        // the batch probes the shared artifact cache first, so tenants past
-        // the first skip these pipelines entirely (same bit-identity: the
-        // shared artifacts are what the pipelines would produce).
-        vm.state.recompile_batch(&to_recompile);
         // Deliver the recompilation events to ourselves (we are not the
         // handler yet), generating specials for hot methods.
         for (mid, level) in vm.state.take_recompile_events() {
@@ -470,47 +462,32 @@ impl MutationEngine {
 
     /// Fig. 5: generate special versions of a mutable method.
     fn generate_specials(&mut self, vm: &mut VmState, ci: usize, mi: usize, level: u8) {
-        let (method, is_static, states) = {
-            let rt = &self.rt[ci];
-            (
-                rt.methods[mi].method,
-                rt.methods[mi].is_static,
-                rt.states.clone(),
-            )
-        };
-        // Batch the per-state fan-out: all specializations of this method
-        // compile in one parallel session (mirroring the paper's "generated
-        // at the same time"), with billing kept serial in state order.
-        let mut reqs = Vec::new();
-        let mut targets = Vec::new();
-        for (s, st) in states.iter().enumerate() {
-            let mut b = Bindings::default();
-            if !is_static {
-                b.instance = st.instance_values.iter().copied().collect();
-            }
-            b.statics = st.static_values.iter().copied().collect();
-            if b.is_empty() {
-                continue;
-            }
-            // Governor gate: a throttled or blacklisted (method, state)
-            // pair is not respecialized — regenerating the code that keeps
-            // deoptimizing is exactly the storm being damped.
-            if !vm.special_request_allowed(method, &b) {
-                continue;
-            }
-            reqs.push(dchm_vm::CompileRequest {
-                method,
-                level,
-                bindings: Some(b),
-            });
-            targets.push(s);
-        }
-        let cids = vm.compile_batch(reqs);
-        for (s, cid) in targets.into_iter().zip(cids) {
+        let rt = &self.rt[ci];
+        let (method, is_static) = (rt.methods[mi].method, rt.methods[mi].is_static);
+        // Governor gate, asked for every state at the clock the fan-out
+        // starts at: a throttled or blacklisted (method, state) pair is not
+        // respecialized — regenerating the code that keeps deoptimizing is
+        // exactly the storm being damped.
+        let requests: Vec<(usize, Bindings)> = rt
+            .states
+            .iter()
+            .enumerate()
+            .filter_map(|(s, st)| {
+                let mut b = Bindings::default();
+                if !is_static {
+                    b.instance = st.instance_values.iter().copied().collect();
+                }
+                b.statics = st.static_values.iter().copied().collect();
+                (!b.is_empty() && vm.special_request_allowed(method, &b)).then_some((s, b))
+            })
+            .collect();
+        // The paper generates all of a method's specializations "at the
+        // same time"; here they compile one after another, in state order.
+        for (s, b) in requests {
             // A failed (fault-injected or quarantined) special compile
             // installs nothing; any earlier special version stays usable.
-            if cid.is_some() {
-                self.rt[ci].methods[mi].special[s] = cid;
+            if let Some(cid) = vm.compile_special(method, level, &b) {
+                self.rt[ci].methods[mi].special[s] = Some(cid);
             }
         }
     }

@@ -17,8 +17,8 @@ use crate::olc::{analyze_olc, OlcReport};
 use crate::plan::MutationPlan;
 use dchm_bytecode::Program;
 use dchm_profile::{profile, HotMethodReport};
-use dchm_vm::{SharedCodeCache, Vm, VmConfig};
-use std::sync::Arc;
+use dchm_vm::{program_fingerprint, SharedCodeCache, Vm, VmConfig};
+use std::sync::{Arc, OnceLock};
 
 /// Pipeline configuration.
 #[derive(Clone, Debug, Default)]
@@ -40,6 +40,9 @@ pub struct Prepared {
     pub olc: OlcReport,
     /// Hot-method profile of the profiling run (diagnostics).
     pub hot: HotMethodReport,
+    /// [`program_fingerprint`] of `program`, computed by the first
+    /// [`Self::make_vm_shared`] and reused by every later tenant.
+    program_fp: OnceLock<u64>,
 }
 
 impl Prepared {
@@ -52,12 +55,14 @@ impl Prepared {
     /// [`Self::make_vm`] for a fleet tenant: attaches the fleet-wide shared
     /// compile-artifact cache right after engine attach. Attach installs
     /// patch points but compiles nothing, so the cache observes every
-    /// compile of the subsequent run — including the engine's batched
-    /// special-version installs, which probe it before spinning up compile
-    /// workers.
+    /// compile of the subsequent run, the engine's special versions
+    /// included.
     pub fn make_vm_shared(&self, config: VmConfig, shared: &Arc<SharedCodeCache>) -> Vm {
         let mut vm = self.make_vm(config);
-        vm.state.attach_shared_cache(Arc::clone(shared));
+        let fp = *self
+            .program_fp
+            .get_or_init(|| program_fingerprint(&self.program));
+        vm.state.attach_shared_cache(Arc::clone(shared), fp);
         vm
     }
 
@@ -96,6 +101,7 @@ pub fn prepare(
         plan,
         olc,
         hot,
+        program_fp: OnceLock::new(),
     }
 }
 

@@ -6,7 +6,7 @@ use crate::lattice::{ConfigSpec, Fault, FleetMode};
 use dchm_core::MutationPlan;
 use dchm_testutil::{attach_plan, observe, Obs};
 use dchm_vm::fleet::{run_fleet, FleetConfig};
-use dchm_vm::{FaultConfig, FaultInjector, SharedCodeCache, VmConfig};
+use dchm_vm::{program_fingerprint, FaultConfig, FaultInjector, SharedCodeCache, VmConfig};
 use std::sync::Arc;
 
 /// Heap for configs that should collect during allocation bursts: sized so
@@ -98,7 +98,7 @@ pub fn run_config(p: &dchm_bytecode::Program, plan: &MutationPlan, c: &ConfigSpe
     let run_one = |shared: Option<Arc<SharedCodeCache>>| -> (FuzzObs, u64, u64) {
         let mut vm = attach_plan(p, plan.clone(), cfg.clone());
         if let Some(sc) = shared {
-            vm.state.attach_shared_cache(sc);
+            vm.state.attach_shared_cache(sc, program_fingerprint(p));
         }
         if c.tracing {
             vm.enable_tracing(16 * 1024);

@@ -125,10 +125,11 @@ fn two_tenant_shared_conforms() {
     // compilation — a tenant that never compiles would pass the lattice
     // check vacuously.
     use dchm_testutil::{attach_plan, observe};
-    use dchm_vm::{SharedCodeCache, VmConfig};
+    use dchm_vm::{program_fingerprint, SharedCodeCache, VmConfig};
     use std::sync::Arc;
     let (p, plan) = compile_spec(&load("two-tenant-shared")).unwrap();
     let shared = Arc::new(SharedCodeCache::new(1024));
+    let program_fp = program_fingerprint(&p);
     let run = || {
         let cfg = VmConfig {
             sample_period: 600,
@@ -139,7 +140,7 @@ fn two_tenant_shared_conforms() {
             ..VmConfig::default()
         };
         let mut vm = attach_plan(&p, plan.clone(), cfg);
-        vm.state.attach_shared_cache(Arc::clone(&shared));
+        vm.state.attach_shared_cache(Arc::clone(&shared), program_fp);
         let result = format!("{:?}", vm.run_entry());
         (
             (result, observe(&vm)),

@@ -110,9 +110,9 @@ pub fn lift(code: &[Instr], num_regs: u16, arg_count: u16) -> Function {
 /// change to that fingerprint flushes the cache — the memoized functions
 /// would no longer match what a fresh lift-plus-instrument would produce.
 ///
-/// Entries are `Arc<Function>` so compilation pipelines (possibly running
-/// on worker threads) can clone a handle and optimize a private copy while
-/// the shared baseline stays immutable.
+/// Entries are `Arc<Function>` so a compilation pipeline can clone a handle
+/// and optimize a private copy while the baseline stays immutable, and so
+/// fleet tenants on other threads can adopt the same baseline.
 #[derive(Debug, Default)]
 pub struct LiftCache {
     by_method: HashMap<u32, Arc<Function>>,

@@ -21,6 +21,7 @@
 
 use crate::compiler::Fnv;
 use crate::state::CompiledId;
+use dchm_bytecode::Program;
 use dchm_ir::passes::Bindings;
 use std::collections::HashMap;
 
@@ -51,6 +52,20 @@ pub fn binding_fingerprint(bindings: Option<&Bindings>) -> u64 {
                 h.mix_value(&v);
             }
         }
+    }
+    h.finish()
+}
+
+/// FNV fingerprint of a program's full `Debug` text: the program half of a
+/// [`SharedCodeCache`] scope key. It formats the whole program, so callers
+/// compute it once per program and hand it to every tenant's
+/// [`crate::VmState::attach_shared_cache`].
+pub fn program_fingerprint(program: &Program) -> u64 {
+    let mut h = Fnv::new();
+    for chunk in format!("{program:?}").as_bytes().chunks(8) {
+        let mut v = [0u8; 8];
+        v[..chunk.len()].copy_from_slice(chunk);
+        h.mix_u64(u64::from_le_bytes(v));
     }
     h.finish()
 }

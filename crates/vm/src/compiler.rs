@@ -106,9 +106,8 @@ impl Fnv {
 }
 
 /// Everything the optimizing compiler reads from the VM, borrowed into one
-/// `Sync` bundle. `VmState` itself holds `Rc`s and cannot cross threads;
-/// this bundle can, which is what lets a batched compile run its pipelines
-/// on worker threads while the state stays on the VM thread.
+/// bundle, so a compile can read it while the VM's lift cache is mutated
+/// (see `VmState::baseline_for`).
 #[derive(Clone, Copy)]
 pub struct CompileEnv<'a> {
     /// The program being compiled.
@@ -126,12 +125,6 @@ pub struct CompileEnv<'a> {
     /// `VmConfig::max_inline_depth`.
     pub max_inline_depth: usize,
 }
-
-// The whole point of the bundle: workers may share it.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<CompileEnv<'static>>();
-};
 
 impl<'a> CompileEnv<'a> {
     /// Borrows the compile-relevant slices of a `VmState`.
@@ -243,8 +236,8 @@ pub fn compile(
 }
 
 /// Compiles `mid` from an already lifted + instrumented `baseline` (see
-/// [`lift_baseline`]). Pure with respect to the VM: reads only the `Sync`
-/// [`CompileEnv`], so batched compilation may call it from worker threads.
+/// [`lift_baseline`]). Pure with respect to the VM: reads only the
+/// [`CompileEnv`].
 pub fn compile_in(
     env: &CompileEnv<'_>,
     baseline: &Function,

@@ -76,8 +76,8 @@ pub mod stats;
 pub mod tib;
 
 pub use codecache::{
-    binding_fingerprint, CodeCache, Evicted, Probe, SharedArtifact, SharedCacheStats,
-    SharedCodeCache,
+    binding_fingerprint, program_fingerprint, CodeCache, Evicted, Probe, SharedArtifact,
+    SharedCacheStats, SharedCodeCache,
 };
 pub use compiler::{CompileEnv, DeoptInfo, DeoptPoint};
 pub use error::RunError;
@@ -90,7 +90,7 @@ pub use hooks::{
 };
 pub use interp::Vm;
 pub use linear::{lower, Inst, LinearCode};
-pub use state::{CodeSlot, CompileRequest, CompiledId, CompiledMethod, VmConfig, VmState};
+pub use state::{CodeSlot, CompiledId, CompiledMethod, VmConfig, VmState};
 pub use stats::{MethodProfile, VmStats};
 pub use tib::{Imt, ImtEntry, Tib, TibId, TibKind, IMT_SLOTS};
 

@@ -2,7 +2,9 @@
 //! bookkeeping, heap plumbing and the public surface the mutation engine
 //! drives (special-TIB creation, slot patching, special compilation).
 
-use crate::codecache::{binding_fingerprint, CodeCache, Probe, SharedArtifact, SharedCodeCache};
+use crate::codecache::{
+    binding_fingerprint, program_fingerprint, CodeCache, Probe, SharedArtifact, SharedCodeCache,
+};
 use crate::compiler;
 use crate::error::RunError;
 use crate::governor::{Governor, GovernorConfig, GuardFailVerdict};
@@ -22,8 +24,7 @@ use dchm_ir::{Function, LiftCache};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Identifies a compiled method in the code store.
@@ -359,17 +360,17 @@ pub struct VmState {
     pub lift_cache: LiftCache,
     /// Host wall-clock nanoseconds spent inside the compiler pipeline.
     /// *Not* modeled time — benchmarks read it to measure what the code
-    /// cache and batched compilation actually save on the host. Strictly
-    /// zero when every compile request of a run was answered by a cache.
+    /// caches actually save on the host. Strictly zero when every compile
+    /// request of a run was answered by a cache.
     pub compile_wall_nanos: u64,
     /// Fleet-wide shared artifact cache; `None` outside a fleet. Probed by
     /// every compile path after the local [`CodeCache`], purely host-side:
     /// a hit skips the compiler pipeline but bills, installs and traces
     /// exactly as a local compile would.
     shared_cache: Option<Arc<SharedCodeCache>>,
-    /// FNV fingerprint of the program text, computed when a shared cache is
-    /// attached; folded with the compiler-environment fingerprint into the
-    /// shared cache's scope key so distinct tenants never collide.
+    /// [`program_fingerprint`] of the program, handed over when a shared
+    /// cache is attached; folded with the compiler-environment fingerprint
+    /// into the shared cache's scope key so distinct tenants never collide.
     program_fp: u64,
     /// Shared-cache probes this VM had answered with an artifact. Host-side
     /// counter — deliberately *not* a [`VmStats`] field, which must stay
@@ -383,17 +384,6 @@ pub struct VmState {
     /// Set when a contained panic left the VM state suspect; further runs
     /// return [`RunError::Poisoned`] instead of executing.
     pub poisoned: bool,
-}
-
-/// One deferred compilation request for [`VmState::compile_batch`].
-#[derive(Clone, Debug)]
-pub struct CompileRequest {
-    /// Method to compile.
-    pub method: MethodId,
-    /// Optimization level.
-    pub level: u8,
-    /// State bindings for a special version; `None` requests general code.
-    pub bindings: Option<Bindings>,
 }
 
 impl VmState {
@@ -533,19 +523,15 @@ impl VmState {
 
     /// Attaches the fleet-wide shared artifact cache. Attach right after
     /// engine attach (before the first run): attaching later is safe but
-    /// forfeits sharing of compiles that already happened. Fingerprints the
-    /// full program text once; together with the per-request compiler
-    /// environment fingerprint that scopes every shared key, so only
+    /// forfeits sharing of compiles that already happened. `program_fp` is
+    /// [`program_fingerprint`] of this VM's program, computed once per
+    /// program rather than once per tenant; together with the per-request
+    /// compiler environment fingerprint it scopes every shared key, so only
     /// tenants whose compiles are bit-identical by construction — same
     /// program, same plan/hints/inlining — ever share an entry.
-    pub fn attach_shared_cache(&mut self, cache: Arc<SharedCodeCache>) {
-        let mut h = compiler::Fnv::new();
-        for chunk in format!("{:?}", self.program).as_bytes().chunks(8) {
-            let mut v = [0u8; 8];
-            v[..chunk.len()].copy_from_slice(chunk);
-            h.mix_u64(u64::from_le_bytes(v));
-        }
-        self.program_fp = h.finish();
+    pub fn attach_shared_cache(&mut self, cache: Arc<SharedCodeCache>, program_fp: u64) {
+        debug_assert_eq!(program_fp, program_fingerprint(&self.program));
+        self.program_fp = program_fp;
         self.shared_cache = Some(cache);
     }
 
@@ -613,9 +599,8 @@ impl VmState {
     }
 
     /// The install/bookkeeping tail of [`Self::recompile`]: JTOC/TIB
-    /// install, profile update, recompilation event, trace stamp. Shared by
-    /// the serial and batched recompilation paths so both interleave
-    /// billing and installation identically.
+    /// install, profile update, recompilation event, trace stamp. Shared
+    /// with [`Self::tier_down`]'s baseline install.
     fn finish_recompile(&mut self, mid: MethodId, level: u8, cid: CompiledId) {
         self.install_general(mid, cid);
         let p = &mut self.stats.per_method[mid.index()];
@@ -809,23 +794,17 @@ impl VmState {
         self.compile_wall_nanos += t0.elapsed().as_nanos() as u64;
         // Lowering stays outside the wall timer, exactly as the pre-fleet
         // `push_code` derived its metadata after the timed pipeline returned.
-        let a = self.artifact_of(outcome);
+        let a = SharedArtifact {
+            lin: Arc::new(lower(&outcome.func, &self.program, &[])),
+            func: Arc::new(outcome.func),
+            size_bytes: outcome.size_bytes,
+            compile_cycles: outcome.compile_cycles,
+            deopt: outcome.deopt.map(Arc::new),
+        };
         if let Some(sc) = &self.shared_cache {
             sc.insert(scope, mid.0, level, binding_fp, a.clone());
         }
         a
-    }
-
-    /// Lowers a raw compiler outcome into the Arc'd shareable form.
-    fn artifact_of(&self, outcome: compiler::CompileOutcome) -> SharedArtifact {
-        let lin = Arc::new(lower(&outcome.func, &self.program, &[]));
-        SharedArtifact {
-            func: Arc::new(outcome.func),
-            lin,
-            size_bytes: outcome.size_bytes,
-            compile_cycles: outcome.compile_cycles,
-            deopt: outcome.deopt.map(Arc::new),
-        }
     }
 
     /// The memoized baseline (lifted + instrumented) IR of `mid`, computed
@@ -1011,269 +990,6 @@ impl VmState {
                 }
             }
         }
-    }
-
-    /// Compiles a batch of requests, coalescing duplicates through the code
-    /// cache and running the compiler pipelines of the remaining jobs on
-    /// worker threads. Billing, statistics, installation and trace stamps
-    /// happen serially in request order, so every modeled observable is
-    /// bit-identical to issuing the requests one by one — except under
-    /// `CompileFail` injection: every quarantine gate and failure draw of
-    /// the batch is evaluated up front, at the pre-batch clock, whereas a
-    /// serial loop evaluates request *i + 1*'s after request *i* is billed
-    /// (a backoff deadline that billing crosses admits the later request
-    /// there and not here). Returns one result per request, in order;
-    /// `None` marks a failed or quarantined compile (the caller keeps
-    /// whatever code it had).
-    pub fn compile_batch(&mut self, reqs: Vec<CompileRequest>) -> Vec<Option<CompiledId>> {
-        self.compile_batch_impl(reqs, false)
-    }
-
-    /// Batched [`Self::recompile`]: compiles every `(method, level)` pair
-    /// (pipelines parallelized on worker threads), then installs and
-    /// bills serially in request order — the interleaving the serial
-    /// recompile loop produces, with the gate-timing exception stated on
-    /// [`Self::compile_batch`]. Failed compiles tier down like
-    /// [`Self::recompile`], so every request yields code.
-    pub fn recompile_batch(&mut self, reqs: &[(MethodId, u8)]) -> Vec<CompiledId> {
-        let reqs = reqs
-            .iter()
-            .map(|&(method, level)| CompileRequest {
-                method,
-                level,
-                bindings: None,
-            })
-            .collect();
-        self.compile_batch_impl(reqs, true)
-            .into_iter()
-            .map(|c| c.expect("recompile batch tiers down on failure"))
-            .collect()
-    }
-
-    fn compile_batch_impl(
-        &mut self,
-        reqs: Vec<CompileRequest>,
-        install: bool,
-    ) -> Vec<Option<CompiledId>> {
-        /// Phase-A resolution of one request.
-        enum Slot {
-            /// Cached: replay in phase C.
-            Hit { cid: CompiledId, cost: u64 },
-            /// Compile job `job`; `use_cache` is false when the cache is
-            /// disabled (no counters, no insert).
-            Job {
-                job: usize,
-                binding_fp: u64,
-                invalidated: bool,
-                use_cache: bool,
-            },
-            /// Same key as an earlier job in this batch: re-probe in phase
-            /// C, after the twin's insert — exactly what a serial loop sees.
-            DupOf,
-            /// Quarantined or injected-to-fail: no compile, result `None`
-            /// (or a tier-down when installing).
-            Fail,
-        }
-
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        // One fingerprint for the whole batch: installs in phase C touch
-        // none of the compiler inputs the fingerprint covers.
-        let env_fp = compiler::CompileEnv::of(self).fingerprint();
-
-        // Phase A — serial quarantine gates, failure draws and cache probes
-        // in request order (the injector draw sequence and governor updates
-        // must match what a serial loop would produce).
-        let mut slots = Vec::with_capacity(reqs.len());
-        let mut jobs: Vec<usize> = Vec::new();
-        let mut pending: HashSet<(u32, u8, u64)> = HashSet::new();
-        for (i, r) in reqs.iter().enumerate() {
-            if Self::compile_fallible(r.level, r.bindings.is_some()) {
-                if !self.compile_allowed(r.method, r.level) {
-                    slots.push(Slot::Fail);
-                    continue;
-                }
-                if self.injector.as_mut().is_some_and(FaultInjector::at_compile) {
-                    self.record_compile_failure(r.method, r.level);
-                    slots.push(Slot::Fail);
-                    continue;
-                }
-            }
-            let binding_fp = binding_fingerprint(r.bindings.as_ref());
-            if pending.contains(&(r.method.0, r.level, binding_fp)) {
-                slots.push(Slot::DupOf);
-                continue;
-            }
-            match self.code_cache.probe(r.method.0, r.level, binding_fp, env_fp) {
-                Probe::Hit {
-                    cid,
-                    compile_cycles,
-                } => slots.push(Slot::Hit {
-                    cid,
-                    cost: compile_cycles,
-                }),
-                Probe::Miss { invalidated } => {
-                    pending.insert((r.method.0, r.level, binding_fp));
-                    slots.push(Slot::Job {
-                        job: jobs.len(),
-                        binding_fp,
-                        invalidated,
-                        use_cache: true,
-                    });
-                    jobs.push(i);
-                }
-                Probe::Disabled => {
-                    slots.push(Slot::Job {
-                        job: jobs.len(),
-                        binding_fp,
-                        invalidated: false,
-                        use_cache: false,
-                    });
-                    jobs.push(i);
-                }
-            }
-        }
-
-        // Phase B — produce the artifacts. The fleet's shared cache (when
-        // attached) is probed serially first; jobs it answers skip the
-        // compiler entirely. Baselines for the remaining jobs are memoized
-        // on the VM thread (the lift cache is not thread-safe); the
-        // pipelines — pure functions of the `Sync` compile environment —
-        // run on workers. Only the compile section is wall-timed, and only
-        // when at least one job actually compiles, so a fully cache-fed
-        // batch adds exactly zero wall nanoseconds.
-        let scope = SharedCodeCache::scope_of(self.program_fp, env_fp);
-        let mut artifacts: Vec<Option<SharedArtifact>> = vec![None; jobs.len()];
-        if let Some(sc) = self.shared_cache.clone() {
-            for (j, &ri) in jobs.iter().enumerate() {
-                let r = &reqs[ri];
-                let fp = binding_fingerprint(r.bindings.as_ref());
-                match sc.probe(scope, r.method.0, r.level, fp) {
-                    Some(a) => {
-                        self.shared_hits += 1;
-                        artifacts[j] = Some(a);
-                    }
-                    None => self.shared_misses += 1,
-                }
-            }
-        }
-        let to_compile: Vec<usize> = (0..jobs.len()).filter(|&j| artifacts[j].is_none()).collect();
-        let mut baselines: Vec<Arc<Function>> = Vec::with_capacity(to_compile.len());
-        for &j in &to_compile {
-            let b = self.baseline_for(reqs[jobs[j]].method, env_fp);
-            baselines.push(b);
-        }
-        if !to_compile.is_empty() {
-            let wall = Instant::now();
-            let mut outcomes: Vec<Option<compiler::CompileOutcome>>;
-            {
-                let env = compiler::CompileEnv::of(self);
-                let threads = rayon::current_num_threads().min(to_compile.len());
-                if to_compile.len() < 2 || threads < 2 {
-                    outcomes = Vec::with_capacity(to_compile.len());
-                    for (k, &j) in to_compile.iter().enumerate() {
-                        let r = &reqs[jobs[j]];
-                        outcomes.push(Some(compiler::compile_in(
-                            &env,
-                            &baselines[k],
-                            r.method,
-                            r.level,
-                            r.bindings.as_ref(),
-                        )));
-                    }
-                } else {
-                    // A shared work index keeps workers busy regardless of
-                    // how uneven individual compile times are.
-                    let next = AtomicUsize::new(0);
-                    let out: Mutex<Vec<Option<compiler::CompileOutcome>>> =
-                        Mutex::new((0..to_compile.len()).map(|_| None).collect());
-                    rayon::scope(|s| {
-                        for _ in 0..threads {
-                            s.spawn(|_| loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= to_compile.len() {
-                                    break;
-                                }
-                                let r = &reqs[jobs[to_compile[k]]];
-                                let o = compiler::compile_in(
-                                    &env,
-                                    &baselines[k],
-                                    r.method,
-                                    r.level,
-                                    r.bindings.as_ref(),
-                                );
-                                out.lock().expect("compile worker poisoned")[k] = Some(o);
-                            });
-                        }
-                    });
-                    outcomes = out.into_inner().expect("compile worker poisoned");
-                }
-            }
-            self.compile_wall_nanos += wall.elapsed().as_nanos() as u64;
-            // Lowering and shared publication stay outside the wall timer,
-            // as on the serial path.
-            for (k, &j) in to_compile.iter().enumerate() {
-                let outcome = outcomes[k].take().expect("job compiled exactly once");
-                let a = self.artifact_of(outcome);
-                if let Some(sc) = &self.shared_cache {
-                    let r = &reqs[jobs[j]];
-                    let fp = binding_fingerprint(r.bindings.as_ref());
-                    sc.insert(scope, r.method.0, r.level, fp, a.clone());
-                }
-                artifacts[j] = Some(a);
-            }
-        }
-
-        // Phase C — serial, in request order: bill, store, trace-stamp and
-        // (for recompiles) install, replicating the serial loop exactly.
-        let mut cids = Vec::with_capacity(reqs.len());
-        for (i, r) in reqs.iter().enumerate() {
-            let special = r.bindings.is_some();
-            let cid = match slots[i] {
-                Slot::Fail => {
-                    // A failed install request still needs code: tier down
-                    // exactly like the serial recompile path (which also
-                    // skips the recompilation event for kept code).
-                    cids.push(if install { Some(self.tier_down(r.method)) } else { None });
-                    continue;
-                }
-                Slot::Hit { cid, cost } => {
-                    self.stats.code_cache_hits += 1;
-                    self.replay_cached(r.method, r.level, special, cid, cost);
-                    cid
-                }
-                Slot::Job {
-                    job,
-                    binding_fp,
-                    invalidated,
-                    use_cache,
-                } => {
-                    let a = artifacts[job].take().expect("job produced exactly once");
-                    if use_cache {
-                        if invalidated {
-                            self.stats.code_cache_invalidations += 1;
-                        }
-                        self.stats.code_cache_misses += 1;
-                    }
-                    let cost = a.compile_cycles;
-                    let cid = self.install_artifact(r.method, r.level, special, binding_fp, a);
-                    if use_cache {
-                        self.cache_insert((r.method.0, r.level, binding_fp), env_fp, cid, cost, false);
-                    }
-                    cid
-                }
-                // Usually a hit on the twin's entry; when a tiny capacity
-                // evicted it between its insert and this probe, a full
-                // serial compile, like the serial loop would make.
-                Slot::DupOf => self.compile_admitted(r.method, r.level, r.bindings.as_ref(), false),
-            };
-            if install {
-                self.finish_recompile(r.method, r.level, cid);
-            }
-            cids.push(Some(cid));
-        }
-        cids
     }
 
     /// The baseline (level-0, unspecialized) code a deoptimizing frame of

@@ -1,29 +1,18 @@
 #![warn(missing_docs)]
 
-//! Offline shim for the slice of `rayon` the batched compiler and the fleet
-//! use: [`scope`], [`Scope::spawn`] and [`current_num_threads`].
+//! Offline shim for the slice of `rayon` the fleet executor uses: [`scope`]
+//! and [`Scope::spawn`].
 //!
 //! The build environment has no crates.io access, so this maps the API onto
 //! `std::thread::scope`. Two deliberate divergences from real rayon:
 //!
 //! * there is no work-stealing pool — every `spawn` is an OS thread, so
 //!   callers should spawn a few long-lived workers that pull from a shared
-//!   queue rather than one task per item (which is what the VM's batch
-//!   compiler does anyway);
+//!   queue rather than one task per item (which is what the fleet does);
 //! * `Scope` carries the extra `'env` lifetime `std::thread::scope`
 //!   requires; rayon's single-lifetime `Scope<'scope>` is strictly more
 //!   permissive, so code written against this shim also compiles against
 //!   real rayon, not necessarily vice versa.
-
-use std::num::NonZeroUsize;
-
-/// Number of worker threads a parallel section may profitably use
-/// (`std::thread::available_parallelism`, 1 when unknown).
-pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// A scope handle that can spawn borrowing tasks; all tasks are joined
 /// before [`scope`] returns.
@@ -86,10 +75,5 @@ mod tests {
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn at_least_one_thread() {
-        assert!(current_num_threads() >= 1);
     }
 }
