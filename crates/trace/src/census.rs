@@ -5,23 +5,27 @@
 //! stream* (what happened), the census walks the *live heap* (what is).
 //! A walk produces a [`CensusSnapshot`] — live-object counts and bytes
 //! per class and per TIB (class TIBs and special-state TIBs separately) —
-//! and the VM pairs it with a [`ResidencyTracker`] that measures TIB-flip
-//! residency: the modeled-cycle distance between an object entering a
-//! special state and leaving it, folded into the same log2
+//! plus TIB-flip residency: the modeled-cycle distance between an object
+//! entering a special state and leaving it, folded into the same log2
 //! [`Histogram`] shape metrics use.
 //!
+//! An open stay needs no bookkeeping of its own: the object header holds
+//! the state (its TIB pointer) and the cycle it entered it, so the walk
+//! measures every open stay to the snapshot cycle, and a swept object's
+//! stay vanishes with its cell. Only completed stays are kept, in a
+//! [`ResidencyTracker`] the VM feeds at every exit flip.
+//!
 //! Census data is host-side only. The walk never charges the modeled
-//! clock, and the residency tracker is updated unconditionally at every
-//! TIB flip (it must not be gated on tracing, or the census would change
-//! shape when a tracer attaches). Conservation is structural: the walk
-//! visits exactly the unswept heap cells, so its byte total equals the
-//! heap's `used_bytes` at the same tick, floating garbage included.
+//! clock, and exits are recorded unconditionally (gating them on tracing
+//! would change the census's shape when a tracer attaches). Conservation
+//! is structural: the walk visits exactly the unswept heap cells, so its
+//! byte total equals the heap's `used_bytes` at the same tick, floating
+//! garbage included.
 
 use crate::metrics::Histogram;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Live objects and bytes of one class (all its TIBs pooled).
 #[derive(Clone, Debug, Default, Serialize)]
@@ -133,85 +137,36 @@ impl fmt::Display for CensusSnapshot {
     }
 }
 
-/// Hasher for the dense `u32` object ids keying [`ResidencyTracker::open`]
-/// (heap cell indices the VM hands out, never outside input): one multiply
-/// by 2^64/φ. Consecutive ids land in distinct buckets (the product's low
-/// bits are a bijection of the id's), and the top bits — the table cuts its
-/// control bytes from them; the identity leaves them zero — mix the whole id.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("keys are u32 object ids");
-    }
-    fn write_u32(&mut self, id: u32) {
-        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Tracks how long each object has been in its current special state.
-/// Owned by the VM and updated at every TIB flip, tracing on or off.
-#[derive(Debug, Default)]
+/// Residency per (class, special state): completed stays as the VM
+/// records them at exit flips, plus whatever open stays a census walk adds
+/// to its own copy.
+#[derive(Clone, Debug, Default)]
 pub struct ResidencyTracker {
-    /// Object → (cycle it entered its current special state, class,
-    /// state index). Objects in a class TIB have no entry.
-    open: HashMap<u32, (u64, u32, u32), BuildHasherDefault<IdHasher>>,
-    /// (class, state) → completed stays.
-    closed: BTreeMap<(u32, u32), (u64, Histogram)>,
+    /// (class, state) → (exits, stay lengths).
+    stays: BTreeMap<(u32, u32), (u64, Histogram)>,
 }
 
 impl ResidencyTracker {
-    /// Records a TIB flip of `obj` (of `class`) at modeled `cycle`:
-    /// leaving `from_state` closes the open stay, entering `to_state`
-    /// opens one. Class-TIB ↔ class-TIB flips are no-ops.
-    pub fn on_flip(
-        &mut self,
-        obj: u32,
-        class: u32,
-        from_state: Option<u32>,
-        to_state: Option<u32>,
-        cycle: u64,
-    ) {
-        if let Some(s) = from_state {
-            if let Some((since, c, _)) = self.open.remove(&obj) {
-                let e = self.closed.entry((c, s)).or_default();
-                e.0 += 1;
-                e.1.record(cycle - since);
-            }
-        }
-        if let Some(s) = to_state {
-            self.open.insert(obj, (cycle, class, s));
-        }
+    /// Records an exit: an object of `class` left special `state` after
+    /// `cycles` in it.
+    pub fn close(&mut self, class: u32, state: u32, cycles: u64) {
+        let e = self.stays.entry((class, state)).or_default();
+        e.0 += 1;
+        e.1.record(cycles);
     }
 
-    /// Drops open stays of objects the GC just swept, so a recycled
-    /// object id cannot inherit a dead object's entry cycle.
-    pub fn prune(&mut self, mut live: impl FnMut(u32) -> bool) {
-        self.open.retain(|&o, _| live(o));
+    /// Records a stay still open at snapshot time, `cycles` long so far:
+    /// a sample without an exit.
+    pub fn add_open(&mut self, class: u32, state: u32, cycles: u64) {
+        self.stays.entry((class, state)).or_default().1.record(cycles);
     }
 
-    /// Objects currently tracked as in a special state.
-    #[cfg(test)]
-    fn open_stays(&self) -> usize {
-        self.open.len()
-    }
-
-    /// The residency table at modeled `at_cycle`: completed stays plus
-    /// open stays measured to `at_cycle`. Deterministic — the fold lands
-    /// in a key-ordered map and histogram recording is order-insensitive.
-    pub fn snapshot(&self, at_cycle: u64) -> Vec<StateResidency> {
-        let mut all = self.closed.clone();
-        for &(since, class, state) in self.open.values() {
-            all.entry((class, state))
-                .or_default()
-                .1
-                .record(at_cycle.saturating_sub(since));
-        }
-        all.into_iter()
+    /// The residency table, ascending (class, state). Deterministic: the
+    /// stays sit in a key-ordered map and histogram recording is
+    /// order-insensitive.
+    pub fn table(self) -> Vec<StateResidency> {
+        self.stays
+            .into_iter()
             .map(|((class, state), (exits, residency))| StateResidency {
                 class,
                 state,
@@ -227,46 +182,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flip_cycle_closes_and_reopens_stays() {
+    fn exits_and_open_stays_share_one_histogram() {
         let mut t = ResidencyTracker::default();
-        t.on_flip(5, 1, None, Some(0), 100); // enter state 0
-        t.on_flip(5, 1, Some(0), None, 350); // leave
-        t.on_flip(5, 1, None, Some(0), 400); // re-enter
-        let r = t.snapshot(1000);
+        t.close(1, 0, 250);
+        let mut snap = t.clone();
+        snap.add_open(1, 0, 600);
+        let r = snap.table();
         assert_eq!(r.len(), 1);
         assert_eq!((r[0].class, r[0].state), (1, 0));
+        // One closed 250-cycle stay, one open one 600 cycles long so far.
         assert_eq!(r[0].exits, 1);
-        // One closed 250-cycle stay, one open stay measured to 1000.
         assert_eq!(r[0].residency.count, 2);
         assert_eq!(r[0].residency.sum, 250 + 600);
-        assert_eq!(t.open_stays(), 1);
-        // Snapshotting did not consume the closed record.
-        assert_eq!(t.snapshot(1000)[0].residency.sum, 850);
-    }
-
-    #[test]
-    fn prune_drops_dead_objects_only() {
-        let mut t = ResidencyTracker::default();
-        t.on_flip(1, 0, None, Some(0), 10);
-        t.on_flip(2, 0, None, Some(0), 20);
-        t.prune(|o| o == 2);
-        assert_eq!(t.open_stays(), 1);
-        // The dead object's stay never closes into the histogram: its exit
-        // flip after the prune is a no-op.
-        t.on_flip(1, 0, Some(0), None, 100);
-        let r = t.snapshot(100);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].exits, 0);
-        // Only the survivor's open stay (80 cycles) is measured.
-        assert_eq!(r[0].residency.count, 1);
-        assert_eq!(r[0].residency.sum, 80);
+        // The snapshot's open stay did not reach the tracker.
+        assert_eq!(t.table()[0].residency.count, 1);
     }
 
     #[test]
     fn snapshot_display_is_stable() {
         let mut t = ResidencyTracker::default();
-        t.on_flip(7, 2, None, Some(1), 0);
-        t.on_flip(7, 2, Some(1), None, 64);
+        t.close(2, 1, 64);
         let snap = CensusSnapshot {
             at_cycle: 100,
             live_objects: 3,
@@ -277,7 +212,7 @@ mod tests {
             in_special_state: 0,
             per_class: vec![ClassCensus { class: 2, name: "Acct".into(), objects: 3, bytes: 72 }],
             per_tib: vec![],
-            residency: t.snapshot(100),
+            residency: t.table(),
         };
         assert_eq!(snap.total_bytes(), snap.heap_used_bytes);
         let text = snap.to_string();

@@ -23,8 +23,15 @@ pub struct Object {
     /// Current TIB pointer; the mutation engine repoints this between the
     /// class TIB and special TIBs.
     pub tib: TibId,
+    /// Modeled cycle of the last TIB flip (0 before the first): while `tib`
+    /// is a special TIB, when the object entered that state.
+    pub(crate) since: u64,
     /// Field slots, laid out per [`dchm_bytecode::ClassDef::all_instance_fields`].
-    pub fields: Vec<Value>,
+    /// A boxed slice, not a `Vec`: without a capacity word the object stays
+    /// 32 bytes beside `since`, so a heap cell keeps a plain tag byte
+    /// instead of hiding its tag in a capacity niche that every cell access
+    /// would have to range-check.
+    pub fields: Box<[Value]>,
 }
 
 /// A heap-allocated array.
@@ -46,10 +53,10 @@ enum Cell {
 
 /// Raw occupancy census of every unswept heap cell — the heap-side half
 /// of `dchm_trace::census::CensusSnapshot` (the VM layers TIB kinds,
-/// names and residency on top). Conservation holds by construction: the
-/// walk visits exactly the cells `used_bytes` accounts for, so
-/// `object_bytes + array_bytes == used_bytes()` at any tick, floating
-/// garbage included.
+/// names and residency on top, the last from the same walk). Conservation
+/// holds by construction: the walk visits exactly the cells `used_bytes`
+/// accounts for, so `object_bytes + array_bytes == used_bytes()` at any
+/// tick, floating garbage included.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HeapCensus {
     /// Unswept objects.
@@ -103,6 +110,8 @@ pub struct Heap {
     /// Statistics.
     pub stats: HeapStats,
     mark: Vec<bool>,
+    /// The mark stack, kept between collections so one allocates nothing.
+    stack: Vec<u32>,
 }
 
 /// Header bytes per object/array.
@@ -124,6 +133,7 @@ impl Heap {
             capacity,
             stats: HeapStats::default(),
             mark: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
@@ -198,7 +208,8 @@ impl Heap {
                 heap: self.capacity,
             });
         }
-        Ok(self.take_slot(Cell::Obj(Object { class, tib, fields }), bytes))
+        let fields = fields.into_boxed_slice();
+        Ok(self.take_slot(Cell::Obj(Object { class, tib, since: 0, fields }), bytes))
     }
 
     /// Allocates an array of `len` default-initialized elements.
@@ -341,13 +352,15 @@ impl Heap {
     }
 
     /// Walks every unswept cell and tallies occupancy per class and per
-    /// TIB (arrays have neither; they pool into the array totals). Pure
-    /// host-side observation: charges no cycles, touches no stats.
-    pub fn census(&self) -> HeapCensus {
+    /// TIB (arrays have neither; they pool into the array totals), handing
+    /// each object to `visit` on the way. Pure host-side observation:
+    /// charges no cycles, touches no stats.
+    pub fn census(&self, mut visit: impl FnMut(&Object)) -> HeapCensus {
         let mut c = HeapCensus::default();
         for cell in &self.cells {
             match cell {
                 Cell::Obj(o) => {
+                    visit(o);
                     let bytes = obj_bytes(o.fields.len()) as u64;
                     c.objects += 1;
                     c.object_bytes += bytes;
@@ -369,7 +382,8 @@ impl Heap {
     }
 
     /// True if `r` currently points at a live cell.
-    pub fn is_live(&self, r: ObjRef) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_live(&self, r: ObjRef) -> bool {
         matches!(
             self.cells.get(r.0 as usize),
             Some(Cell::Obj(_) | Cell::Arr(_))
@@ -384,15 +398,15 @@ impl Heap {
         self.mark.resize(n, false);
 
         let mut marked = 0u64;
-        let mut stack: Vec<u32> = Vec::new();
+        self.stack.clear();
         for r in roots {
             let i = r.0 as usize;
             if i < n && !self.mark[i] && !matches!(self.cells[i], Cell::Free) {
                 self.mark[i] = true;
-                stack.push(r.0);
+                self.stack.push(r.0);
             }
         }
-        while let Some(i) = stack.pop() {
+        while let Some(i) = self.stack.pop() {
             marked += 1;
             // Collect child refs without holding the borrow across pushes.
             let push_child = |v: &Value, stack: &mut Vec<u32>, mark: &mut [bool]| {
@@ -407,12 +421,12 @@ impl Heap {
             match &self.cells[i as usize] {
                 Cell::Obj(o) => {
                     for v in &o.fields {
-                        push_child(v, &mut stack, &mut self.mark);
+                        push_child(v, &mut self.stack, &mut self.mark);
                     }
                 }
                 Cell::Arr(a) if a.kind == ElemKind::Ref => {
                     for v in &a.elems {
-                        push_child(v, &mut stack, &mut self.mark);
+                        push_child(v, &mut self.stack, &mut self.mark);
                     }
                 }
                 _ => {}
@@ -581,14 +595,14 @@ mod tests {
             .unwrap();
         let _dead = h.alloc_object(ClassId(2), TibId(3), vec![]).unwrap();
         let _arr = h.alloc_array(ElemKind::Int, 4).unwrap();
-        let c = h.census();
+        let c = h.census(|_| {});
         // Floating garbage counts on both sides of the ledger.
         assert_eq!(c.total_bytes(), h.used_bytes() as u64);
         assert_eq!((c.objects, c.arrays), (2, 1));
         assert_eq!(c.per_class.get(&1), Some(&(1, 32)));
         assert_eq!(c.per_tib.get(&3), Some(&(1, 16)));
         h.gc([keep].into_iter());
-        let c = h.census();
+        let c = h.census(|_| {});
         assert_eq!(c.total_bytes(), h.used_bytes() as u64);
         assert_eq!((c.objects, c.arrays), (1, 0));
         assert!(!c.per_class.contains_key(&2));

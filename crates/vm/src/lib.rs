@@ -100,5 +100,5 @@ pub use dchm_trace as trace;
 
 /// Attribution types re-exported at the crate root: the census snapshot
 /// ([`VmState::census`]) and the profile cell table ([`Vm::profile`]).
-pub use dchm_trace::census::{CensusSnapshot, ResidencyTracker};
+pub use dchm_trace::census::CensusSnapshot;
 pub use dchm_trace::profile::{ProfileCell, ProfileSnapshot, Profiler};

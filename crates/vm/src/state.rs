@@ -303,9 +303,10 @@ pub struct VmState {
     pub(crate) next_profile_at: u64,
     /// Cycle-attribution profiler accumulator (host-side only).
     pub profiler: Profiler,
-    /// TIB-flip residency tracker feeding the census. Updated at every
-    /// flip regardless of tracing, so census shape never depends on
-    /// whether a tracer is attached.
+    /// Completed special-state stays feeding the census; open ones are read
+    /// from object headers (`Object::since`) by the census walk. Fed at
+    /// every exit flip regardless of tracing, so census shape never
+    /// depends on whether a tracer is attached.
     pub(crate) residency: ResidencyTracker,
     /// Activation stack.
     pub frames: Vec<Frame>,
@@ -1126,17 +1127,14 @@ impl VmState {
         let o = self.heap.object_mut(obj);
         debug_assert_eq!(o.class, to.class, "TIB flip must preserve the type-information entry");
         let from = std::mem::replace(&mut o.tib, tib);
+        let since = std::mem::replace(&mut o.since, self.clock);
         self.stats.tib_flips += 1;
-        // Residency feeds the census, so it must track every flip — not
-        // just traced ones — or the census would change shape when a
-        // tracer attaches.
-        self.residency.on_flip(
-            obj.0,
-            to.class.0,
-            self.tibs[from.index()].special_state(),
-            to.special_state(),
-            self.clock,
-        );
+        // Residency feeds the census, so every exit counts — not just
+        // traced ones — or the census would change shape when a tracer
+        // attaches.
+        if let Some(state) = self.tibs[from.index()].special_state() {
+            self.residency.close(to.class.0, state, self.clock - since);
+        }
         if self.tracer.on() {
             self.trace_tib_flip(obj, from, tib);
         }
@@ -1464,14 +1462,9 @@ impl VmState {
             let used = self.heap.used_bytes() as u64;
             self.tracer.emit(self.clock, TraceEvent::GcStart { used_bytes: used });
         }
-        let roots = self.collect_roots();
-        let cycles = self.heap.gc(roots.into_iter());
+        let cycles = self.collect();
         self.clock += cycles;
         self.stats.gc_cycles += cycles;
-        // The sweep may have recycled object ids: drop dead objects' open
-        // residency stays before a reused id can inherit one.
-        let heap = &self.heap;
-        self.residency.prune(|o| heap.is_live(ObjRef(o)));
         if self.tracer.on() {
             let used = self.heap.used_bytes() as u64;
             self.tracer.emit(
@@ -1484,22 +1477,16 @@ impl VmState {
         }
     }
 
-    /// Live GC roots: frame registers (one linear scan of the pooled
-    /// register stack), statics, host handles.
-    fn collect_roots(&self) -> Vec<ObjRef> {
-        let mut roots: Vec<ObjRef> = Vec::new();
-        for v in &self.reg_stack {
-            if let Value::Ref(r) = v {
-                roots.push(*r);
-            }
-        }
-        for v in &self.statics {
-            if let Value::Ref(r) = v {
-                roots.push(*r);
-            }
-        }
-        roots.extend(self.handles.iter().copied());
-        roots
+    /// One mark-sweep from the live roots — frame registers (one linear
+    /// scan of the pooled register stack), statics, host handles — streamed
+    /// into the mark, so a collection allocates nothing. Returns the cycles
+    /// it costs.
+    fn collect(&mut self) -> u64 {
+        let refs = self.reg_stack.iter().chain(&self.statics).filter_map(|v| match v {
+            Value::Ref(r) => Some(*r),
+            _ => None,
+        });
+        self.heap.gc(refs.chain(self.handles.iter().copied()))
     }
 
     /// A method's `Class::method` display name — the resolver the
@@ -1511,10 +1498,17 @@ impl VmState {
 
     /// Walks the heap on demand and builds the full [`CensusSnapshot`]:
     /// occupancy per class and per special-state TIB, plus TIB-flip
-    /// residency measured to the current clock. 0-cycle and read-only —
-    /// calling it any number of times perturbs nothing.
+    /// residency — the completed stays and, from the same walk, every
+    /// object in a special state measured from its header's `since` to the
+    /// current clock. 0-cycle and read-only — calling it any number of
+    /// times perturbs nothing.
     pub fn census(&self) -> CensusSnapshot {
-        let raw = self.heap.census();
+        let mut residency = self.residency.clone();
+        let raw = self.heap.census(|o| {
+            if let Some(state) = self.tibs[o.tib.index()].special_state() {
+                residency.add_open(o.class.0, state, self.clock - o.since);
+            }
+        });
         let mut in_special = 0u64;
         let per_tib: Vec<TibCensus> = raw
             .per_tib
@@ -1548,7 +1542,7 @@ impl VmState {
             in_special_state: in_special,
             per_class,
             per_tib,
-            residency: self.residency.snapshot(self.clock),
+            residency: residency.table(),
         }
     }
 
@@ -1559,7 +1553,7 @@ impl VmState {
         if !self.tracer.on() {
             return;
         }
-        let raw = self.heap.census();
+        let raw = self.heap.census(|_| {});
         let in_special = raw
             .per_tib
             .iter()
@@ -1615,8 +1609,7 @@ impl VmState {
         }
         match fault {
             Fault::Gc => {
-                let roots = self.collect_roots();
-                let _ = self.heap.gc(roots.into_iter());
+                let _ = self.collect();
             }
             Fault::IcBump => self.invalidate_inline_caches(),
             Fault::Recompile => {

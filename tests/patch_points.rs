@@ -277,7 +277,7 @@ fn steady_state_deliveries_do_not_allocate() {
         engine.on_static_store(&mut vm.state, f.flag);
         specials
     };
-    // Warm-up: the residency map and the stats reach their working size.
+    // Warm-up: the residency table and the stats reach their working size.
     round(&mut vm, &mut engine);
 
     let flips = vm.stats().tib_flips;

@@ -2,9 +2,9 @@
 # Interleaved A/B of the host-wall benchmark: a parent revision against the
 # working tree this script sits in.
 #
-#   tools/ab.sh <parent-rev> [--workload W] [--pairs N] [--seconds S] [--seed K]
+#   tools/ab.sh <parent-rev> [--workload W[,W...]] [--pairs N] [--seconds S] [--seed K]
 #   tools/ab.sh <parent-rev> --counts [--seed K]
-#   tools/ab.sh <parent-rev> --layer M[,M...] [--workload W] [--pairs N] [--seconds S] [--seed K]
+#   tools/ab.sh <parent-rev> --layer M[,M...] [--workload W[,W...]] [--pairs N] [--seconds S] [--seed K]
 #
 # Checks <parent-rev> out into a temporary directory, builds both trees'
 # benchmark/run.sh into separate target directories, then runs N pairs
@@ -37,7 +37,7 @@ while [ $# -gt 0 ]; do
     if [ "$1" = --counts ]; then counts=1; shift; continue; fi
     [ $# -ge 2 ] || usage
     case "$1" in
-        --workload) workloads="$2" ;;
+        --workload) workloads="${2//,/ }" ;;
         --pairs) pairs="$2" ;;
         --seconds) seconds="$2" ;;
         --seed) seed="$2" ;;
