@@ -1,19 +1,24 @@
-//! `dchm-inspect` — offline reader for every artifact this repo's runs
-//! emit: `<name>.folded` (cycle-attribution profiler stacks),
-//! `<name>.census.json` (heap & state census), `<name>.metrics.json`
-//! (VM counters + event-derived histograms) and the root `BENCH_*.json`
-//! documents.
+//! `dchm-inspect` — producer and offline reader of the attribution
+//! artifacts: `<name>.trace.json` (Chrome trace-event/Perfetto),
+//! `<name>.metrics.json` (VM counters + event-derived histograms),
+//! `<name>.folded` (cycle-attribution profiler stacks) and
+//! `<name>.census.json` (heap & state census).
 //!
 //! Subcommands:
 //!
+//! * `run [--small] [--workload NAME|all] [--dir traces]` — one mutated run
+//!   per workload (default SalaryDB) under the measured configuration with
+//!   tracing and profiling on; writes the four artifacts into the directory
+//!   and prints the `VmStats` table and the trace's event counts. The
+//!   committed `traces/SalaryDB.*` are `run --small`'s output.
 //! * `report [--dir traces] [--workload NAME|all] [--top K]` — per
 //!   workload: top-K attribution cells by estimated exec cycles, the
 //!   exec/compile/GC cycle breakdown, heap census and state-residency
-//!   tables; plus a summary of any `BENCH_*.json` in the current directory.
+//!   tables.
 //! * `diff <A.folded> <B.folded> [--threshold PCT]` — per-cell sample
 //!   deltas between two profiles. Exits 2 when any cell in B exceeds its A
-//!   count by more than the threshold (default 10%) — the CI regression
-//!   gate. Two identical profiles always report zero delta and exit 0.
+//!   count by more than the threshold (default 10%) — the regression gate.
+//!   Two identical profiles always report zero delta and exit 0.
 //! * `export --prometheus [--dir traces] [--workload NAME]` — renders the
 //!   workload's metrics/census/profile artifacts in the Prometheus text
 //!   exposition format: a gauge per VM counter, census gauges per class,
@@ -23,9 +28,13 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dchm_bench::runner::{flag_value, has_flag};
+use dchm_bench::{flag_value, has_flag, measured_config, prepare_workload, scale_from_args};
+use dchm_vm::trace::export::chrome_trace_json;
+use dchm_vm::trace::metrics::MetricsSnapshot;
 use dchm_vm::trace::profile::{folded_leaf_cells, parse_folded};
-use serde::Value;
+use dchm_vm::Vm;
+use dchm_workloads::{catalog, Workload};
+use serde::{Serialize, Value};
 
 fn field<'a>(v: &'a Value, k: &str) -> Option<&'a Value> {
     match v {
@@ -65,6 +74,96 @@ fn discover(dir: &Path) -> Vec<String> {
     }
     stems.sort();
     stems
+}
+
+// ------------------------------------------------------------------- run
+
+/// Trace ring capacity of a `run`. Events past it are dropped, counted in
+/// the metrics document and printed.
+const RING_CAPACITY: usize = 64 * 1024;
+
+/// Writes `{"workload": name, ...fields}` pretty-printed to `path`.
+fn write_doc(path: &Path, name: &str, fields: Vec<(&str, Value)>) -> std::io::Result<()> {
+    let mut doc = vec![("workload".to_string(), Value::Str(name.to_string()))];
+    doc.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    let json = serde_json::to_string_pretty(&Value::Object(doc))
+        .expect("Value serialization is infallible");
+    std::fs::write(path, json)
+}
+
+/// Writes the four artifacts of a finished traced, profiled run of `name`.
+fn write_artifacts(dir: &Path, name: &str, vm: &Vm) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let path = |ext: &str| dir.join(format!("{name}.{ext}"));
+    let events = vm.trace_events();
+    std::fs::write(path("trace.json"), chrome_trace_json(&events))?;
+    let snapshot = MetricsSnapshot::build(&events, vm.cycles(), vm.state.tracer.dropped());
+    write_doc(
+        &path("metrics.json"),
+        name,
+        vec![
+            ("vm_stats", vm.stats().to_json_value()),
+            ("trace_metrics", snapshot.to_json_value()),
+        ],
+    )?;
+    std::fs::write(path("folded"), vm.profile_folded())?;
+    let census = vm.state.census().to_json_value();
+    write_doc(&path("census.json"), name, vec![("census", census)])
+}
+
+/// One mutated run of `w` with tracing on (profiling is on by default),
+/// its artifacts written to `dir` and its stats printed.
+fn run_workload(w: &Workload, dir: &Path) -> std::io::Result<()> {
+    let prepared = prepare_workload(w);
+    let mut vm = prepared.make_vm(measured_config(w));
+    vm.enable_tracing(RING_CAPACITY);
+    w.run(&mut vm).expect("workload must not trap");
+    write_artifacts(dir, w.name, &vm)?;
+
+    let events = vm.trace_events();
+    println!("== {} ==", w.name);
+    println!("{}", vm.stats());
+    println!(
+        "trace     events {} (dropped {})  ring {RING_CAPACITY}",
+        events.len(),
+        vm.state.tracer.dropped(),
+    );
+    let mut by_cat: Vec<(&str, usize)> = Vec::new();
+    for e in &events {
+        let cat = e.event.category();
+        match by_cat.iter_mut().find(|(c, _)| *c == cat) {
+            Some((_, n)) => *n += 1,
+            None => by_cat.push((cat, 1)),
+        }
+    }
+    for (cat, n) in &by_cat {
+        println!("          {cat:<10} {n}");
+    }
+    println!(
+        "wrote {}/{}.{{trace.json,metrics.json,folded,census.json}}",
+        dir.display(),
+        w.name
+    );
+    Ok(())
+}
+
+fn run(args: &[String], dir: &Path) -> ExitCode {
+    let which = flag_value(args, "--workload").unwrap_or_else(|| "SalaryDB".to_string());
+    let workloads: Vec<Workload> = catalog(scale_from_args(args))
+        .into_iter()
+        .filter(|w| which == "all" || w.name == which)
+        .collect();
+    if workloads.is_empty() {
+        eprintln!("unknown workload {which}");
+        return ExitCode::FAILURE;
+    }
+    for w in &workloads {
+        if let Err(e) = run_workload(w, dir) {
+            eprintln!("{}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 // ---------------------------------------------------------------- report
@@ -161,37 +260,6 @@ fn report_workload(dir: &Path, stem: &str, top: usize) {
     println!();
 }
 
-fn report_bench_docs() {
-    let mut names: Vec<String> = std::fs::read_dir(".")
-        .map(|rd| {
-            rd.flatten()
-                .map(|e| e.file_name().to_string_lossy().into_owned())
-                .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-                .collect()
-        })
-        .unwrap_or_default();
-    names.sort();
-    for name in names {
-        let Some(doc) = load_json(Path::new(&name)) else { continue };
-        let s = |k: &str| match field(&doc, k) {
-            Some(Value::Str(s)) => s.clone(),
-            _ => "?".to_string(),
-        };
-        let rows = match field(&doc, "workloads") {
-            Some(Value::Array(rows)) => rows.len(),
-            _ => 0,
-        };
-        println!(
-            "bench     {name}: {} ({}, {} rows, unit {}, schema v{})",
-            s("benchmark"),
-            s("scale"),
-            rows,
-            s("unit"),
-            field(&doc, "schema_version").and_then(as_u64).unwrap_or(0),
-        );
-    }
-}
-
 fn report(dir: &Path, which: &str, top: usize) -> ExitCode {
     // A named workload none of whose artifacts exist is a mistyped name,
     // not an empty report.
@@ -213,7 +281,6 @@ fn report(dir: &Path, which: &str, top: usize) -> ExitCode {
     for stem in &stems {
         report_workload(dir, stem, top);
     }
-    report_bench_docs();
     ExitCode::SUCCESS
 }
 
@@ -426,7 +493,8 @@ fn export_prometheus(dir: &Path, stem: &str) -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: dchm-inspect report [--dir traces] [--workload NAME|all] [--top K]\n       \
+        "usage: dchm-inspect run [--small] [--workload NAME|all] [--dir traces]\n       \
+         dchm-inspect report [--dir traces] [--workload NAME|all] [--top K]\n       \
          dchm-inspect diff <A.folded> <B.folded> [--threshold PCT]\n       \
          dchm-inspect export --prometheus [--dir traces] [--workload NAME]"
     );
@@ -464,6 +532,7 @@ fn main() -> ExitCode {
     let dir = PathBuf::from(flag_value(rest, "--dir").unwrap_or_else(|| "traces".to_string()));
     let paths = positionals(rest);
     match cmd.as_str() {
+        "run" if paths.is_empty() => run(rest, &dir),
         "report" if paths.is_empty() => {
             let which = flag_value(rest, "--workload").unwrap_or_else(|| "all".to_string());
             let Some(top) = number_flag(rest, "--top", 5usize) else {

@@ -15,7 +15,7 @@
 //! repro plan <benchmark>  # print the mutation plan JSON for one benchmark
 //! ```
 
-use dchm_bench::runner::scale_from_args;
+use dchm_bench::scale_from_args;
 use dchm_bench::{
     measure, measure_suite, measure_with_analysis, prepare_workload, table1, Measurement,
 };

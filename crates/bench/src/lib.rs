@@ -13,7 +13,27 @@ use dchm_core::pipeline::{prepare, PipelineConfig, Prepared};
 use dchm_vm::{Vm, VmConfig};
 use dchm_workloads::{catalog, Scale, Workload};
 
-pub mod runner;
+/// The value following `flag` in a raw argument list, if present.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// True when `flag` appears anywhere in the argument list.
+pub fn has_flag(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
+}
+
+/// The benchmark scale selected by `--small` (default [`Scale::Full`]).
+pub fn scale_from_args(args: &[String]) -> Scale {
+    if has_flag(args, "--small") {
+        Scale::Small
+    } else {
+        Scale::Full
+    }
+}
 
 /// Cycle/space accounting extracted from one run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -211,84 +231,6 @@ pub fn measure_suite(scale: Scale) -> Vec<Measurement> {
     catalog(scale).iter().map(|w| measure(w, false)).collect()
 }
 
-/// Tracing artifacts shared by the bench bins' `--trace <dir>` flags: the
-/// Chrome trace-event/Perfetto JSON for a finished traced run, plus a
-/// metrics document combining the VM's raw counters with the event-derived
-/// histograms.
-pub mod artifacts {
-    use dchm_vm::trace::export::chrome_trace_json;
-    use dchm_vm::trace::metrics::MetricsSnapshot;
-    use dchm_vm::Vm;
-    use serde::{Serialize, Value};
-    use std::path::{Path, PathBuf};
-
-    /// Writes `<dir>/<name>.trace.json` (load it in Perfetto or
-    /// `chrome://tracing`) and `<dir>/<name>.metrics.json`
-    /// (`{"workload", "vm_stats", "trace_metrics"}`) from a finished
-    /// traced run. Returns the two paths.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors creating `dir` or writing the files.
-    pub fn write_trace_artifacts(
-        dir: &Path,
-        name: &str,
-        vm: &Vm,
-    ) -> std::io::Result<(PathBuf, PathBuf)> {
-        std::fs::create_dir_all(dir)?;
-        let events = vm.trace_events();
-        let trace_path = dir.join(format!("{name}.trace.json"));
-        std::fs::write(&trace_path, chrome_trace_json(&events))?;
-
-        let snapshot = MetricsSnapshot::build(&events, vm.cycles(), vm.state.tracer.dropped());
-        let doc = Value::Object(vec![
-            ("workload".to_string(), Value::Str(name.to_string())),
-            ("vm_stats".to_string(), vm.stats().to_json_value()),
-            ("trace_metrics".to_string(), snapshot.to_json_value()),
-        ]);
-        let metrics_path = dir.join(format!("{name}.metrics.json"));
-        let json = serde_json::to_string_pretty(&doc).expect("Value serialization is infallible");
-        std::fs::write(&metrics_path, json)?;
-        Ok((trace_path, metrics_path))
-    }
-
-    /// Parses a `--trace <dir>` flag pair out of a raw argument list.
-    pub fn trace_dir_flag(args: &[String]) -> Option<PathBuf> {
-        crate::runner::flag_value(args, "--trace").map(PathBuf::from)
-    }
-
-    /// Writes `<dir>/<name>.folded` (Brendan-Gregg folded stacks from the
-    /// cycle-attribution profiler; feed to `flamegraph.pl` or speedscope)
-    /// and `<dir>/<name>.census.json` (`{"workload", "census"}` with the
-    /// end-of-run heap & state census) from a finished run. Returns the two
-    /// paths.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors creating `dir` or writing the files.
-    pub fn write_profile_artifacts(
-        dir: &Path,
-        name: &str,
-        vm: &Vm,
-    ) -> std::io::Result<(PathBuf, PathBuf)> {
-        std::fs::create_dir_all(dir)?;
-        let folded_path = dir.join(format!("{name}.folded"));
-        std::fs::write(&folded_path, vm.profile_folded())?;
-
-        let doc = Value::Object(vec![
-            ("workload".to_string(), Value::Str(name.to_string())),
-            ("census".to_string(), vm.state.census().to_json_value()),
-        ]);
-        let census_path = dir.join(format!("{name}.census.json"));
-        let json = serde_json::to_string_pretty(&doc).expect("Value serialization is infallible");
-        std::fs::write(&census_path, json)?;
-        Ok((folded_path, census_path))
-    }
-
-    /// Parses a `--profile <dir>` flag pair out of a raw argument list.
-    pub fn profile_dir_flag(args: &[String]) -> Option<PathBuf> {
-        crate::runner::flag_value(args, "--profile").map(PathBuf::from)
-    }
-}
-
 /// Table 1 rows: name, classes, methods.
 pub fn table1(scale: Scale) -> Vec<(&'static str, usize, usize)> {
     catalog(scale)
@@ -323,6 +265,17 @@ mod tests {
         assert!(a.speedup().is_finite());
         assert!(a.mutated.special_code_bytes > 0);
         assert!(a.mutated.special_tib_bytes < m.mutated.special_tib_bytes);
+    }
+
+    #[test]
+    fn flag_parsing() {
+        let a: Vec<String> = ["--small", "--out", "dir"].map(String::from).to_vec();
+        assert!(has_flag(&a, "--small"));
+        assert!(!has_flag(&a, "--trace"));
+        assert_eq!(flag_value(&a, "--out").as_deref(), Some("dir"));
+        assert_eq!(flag_value(&a, "--missing"), None);
+        assert_eq!(scale_from_args(&a), Scale::Small);
+        assert_eq!(scale_from_args(&[]), Scale::Full);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! End-to-end tests for the `dchm-inspect` CLI: artifact round-trip
-//! (report + Prometheus export over real SalaryDB artifacts), the diff
-//! regression gate (zero delta on identical profiles, non-zero exit on an
-//! injected regression fixture) and argument errors — `repro`'s included.
+//! End-to-end tests for the `dchm-inspect` CLI: `run` regenerates the
+//! committed `traces/SalaryDB.*` byte for byte (and those artifacts hold
+//! their schema and conservation invariants), report + Prometheus export
+//! read them, the diff regression gate (zero delta on identical profiles,
+//! non-zero exit on an injected regression fixture) and argument errors —
+//! `repro`'s included.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use dchm_bench::artifacts::{write_profile_artifacts, write_trace_artifacts};
-use dchm_bench::{measured_config, prepare_workload};
-use dchm_workloads::{salarydb, Scale};
+use serde::Value;
 
 fn inspect() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dchm-inspect"))
@@ -21,22 +21,109 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// One traced+profiled mutated SalaryDB run, artifacts written to `dir`.
-fn emit_salarydb(dir: &std::path::Path) {
-    let w = salarydb::build(Scale::Small);
-    let prepared = prepare_workload(&w);
-    let mut vm = prepared.make_vm(measured_config(&w));
-    vm.enable_tracing(16 * 1024);
-    w.run(&mut vm).expect("run");
-    write_trace_artifacts(dir, w.name, &vm).expect("trace artifacts");
-    write_profile_artifacts(dir, w.name, &vm).expect("profile artifacts");
+/// The committed artifact directory at the repository root.
+fn committed_traces() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../traces")
+}
+
+const ARTIFACTS: [&str; 4] = ["trace.json", "metrics.json", "folded", "census.json"];
+
+fn load(path: &Path) -> Value {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// `v` at a `.`-separated object path; panics naming the missing key.
+fn at<'a>(v: &'a Value, path: &str) -> &'a Value {
+    path.split('.').fold(v, |v, k| {
+        serde::helpers::field(v, k).unwrap_or_else(|e| panic!("{path}: {e}"))
+    })
+}
+
+fn int(v: &Value, path: &str) -> i64 {
+    match at(v, path) {
+        Value::Int(i) => *i,
+        other => panic!("{path} is {other:?}, not an integer"),
+    }
+}
+
+fn array<'a>(v: &'a Value, path: &str) -> &'a [Value] {
+    match at(v, path) {
+        Value::Array(items) => items,
+        other => panic!("{path} is {other:?}, not an array"),
+    }
+}
+
+/// The schema and conservation invariants of one workload's artifacts.
+fn check_artifacts(dir: &Path, name: &str) {
+    let trace = load(&dir.join(format!("{name}.trace.json")));
+    let events = array(&trace, "traceEvents");
+    assert!(!events.is_empty(), "empty traceEvents");
+    for e in events {
+        for k in ["name", "ph", "ts", "pid", "tid"] {
+            assert!(serde::helpers::field(e, k).is_ok(), "trace event without {k}: {e:?}");
+        }
+    }
+    let ts: Vec<i64> = events.iter().map(|e| int(e, "ts")).collect();
+    assert!(ts.windows(2).all(|w| w[0] <= w[1]), "trace ts not sorted");
+
+    let metrics = load(&dir.join(format!("{name}.metrics.json")));
+    assert_eq!(
+        int(&metrics, "vm_stats.tib_flips"),
+        int(&metrics, "trace_metrics.tib_flips"),
+        "counted and traced TIB flips disagree"
+    );
+
+    let doc = load(&dir.join(format!("{name}.census.json")));
+    let census = at(&doc, "census");
+    assert_eq!(
+        int(census, "object_bytes") + int(census, "array_bytes"),
+        int(census, "heap_used_bytes"),
+        "census bytes not conserved"
+    );
+    let per_class: i64 = array(census, "per_class").iter().map(|c| int(c, "objects")).sum();
+    assert_eq!(int(census, "live_objects"), per_class, "live objects != per-class sum");
+    let mut open_stays = 0;
+    for r in array(census, "residency") {
+        let (count, exits) = (int(r, "residency.count"), int(r, "exits"));
+        assert!(count >= 0 && exits >= 0, "negative residency count: {r:?}");
+        open_stays += count - exits;
+    }
+    // A stay without an exit is an object still in its special state.
+    assert_eq!(open_stays, int(census, "in_special_state"), "open stays != in_special_state");
+}
+
+/// `run --small` is the generator of the committed SalaryDB artifacts: a
+/// fresh run reproduces all four files byte for byte.
+#[test]
+fn run_reproduces_the_committed_artifacts() {
+    let dir = scratch("run");
+    let out = inspect()
+        .args(["run", "--small", "--workload", "SalaryDB", "--dir", dir.to_str().unwrap()])
+        .output()
+        .expect("run dchm-inspect");
+    assert!(out.status.success(), "run failed: {out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("== SalaryDB =="), "no stats table in:\n{text}");
+    check_artifacts(&dir, "SalaryDB");
+
+    let committed = committed_traces();
+    for ext in ARTIFACTS {
+        let fresh = std::fs::read(dir.join(format!("SalaryDB.{ext}"))).expect("fresh artifact");
+        let kept = std::fs::read(committed.join(format!("SalaryDB.{ext}"))).expect("committed");
+        assert!(
+            fresh == kept,
+            "traces/SalaryDB.{ext} differs from a fresh run; if the change is meant to \
+             move the model, regenerate with \
+             `cargo run --release -p dchm-bench --bin dchm-inspect -- run --small --workload SalaryDB --dir traces`"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn report_and_export_read_real_artifacts() {
-    let dir = scratch("report");
-    emit_salarydb(&dir);
-
+    let dir = committed_traces();
     let out = inspect()
         .args(["report", "--dir", dir.to_str().unwrap(), "--workload", "SalaryDB"])
         .output()
@@ -77,7 +164,6 @@ fn report_and_export_read_real_artifacts() {
             "malformed exposition line: {line}"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Argument errors: a stray positional or an unparsable number is a usage
@@ -94,6 +180,7 @@ fn bad_arguments_are_rejected() {
         vec!["report", "--dir", d, "--top", "x"],
         vec!["diff", "a.folded", "b.folded", "--threshold", "x"],
         vec!["export", "--prometheus", d],
+        vec!["run", d],
     ] {
         let out = inspect().args(&bad).output().expect("run dchm-inspect");
         assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2: {out:?}");

@@ -43,7 +43,7 @@ pub struct SynthConfig {
     pub emit_guards: bool,
     /// Per-class cap on instance state fields (lowest field ids win).
     pub max_state_fields: usize,
-    /// Per-class cap on hot states, primary included (the paper's `R`).
+    /// Per-class hot-state cap, primary included (as `AnalysisConfig::max_hot_states_per_class`).
     pub max_states: usize,
     /// Also derive static-state classes (class-TIB specialization).
     pub include_statics: bool,

@@ -78,13 +78,6 @@ impl JobReport {
             shared_misses: vm.state.shared_misses,
         }
     }
-
-    /// The bit-identity projection: everything a shard must reproduce from
-    /// its solo twin. Host-side wall/shared counters are excluded — they
-    /// are exactly what sharding is allowed to change.
-    pub fn modeled(&self) -> (&Obs, &VmStats, &str) {
-        (&self.obs, &self.stats, &self.folded)
-    }
 }
 
 /// Builds and runs one tenant VM for `job`, attaching `shared` when given.

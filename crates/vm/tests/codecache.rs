@@ -12,8 +12,8 @@
 use dchm_core::pipeline::Prepared;
 use dchm_core::MutationEngine;
 use dchm_testutil::{find_workload, harness_config, observe, prepare_workload};
-use dchm_vm::{FaultConfig, FaultInjector, Vm};
-use dchm_workloads::Workload;
+use dchm_vm::{FaultConfig, FaultInjector, Vm, VmConfig};
+use dchm_workloads::{catalog, Scale, Workload};
 
 fn prepare_small(name: &str) -> (Workload, Prepared) {
     let w = find_workload(name);
@@ -56,28 +56,51 @@ fn churn(
     vm
 }
 
+/// Four rounds of plan-reload churn at the default capacity over the whole
+/// small catalog: bit-identical to a cache-off run, with every workload's
+/// counters pinned. Columns: code cache hits, misses, evictions; lift
+/// cache hits, misses, consed.
 #[test]
 fn churn_reuses_cached_code_and_stays_bit_identical() {
-    let (w, prepared) = prepare_small("SalaryDB");
-    let on = churn(&w, &prepared, 1024, &[true, true, true], None);
-    let off = churn(&w, &prepared, 0, &[true, true, true], None);
-    assert_eq!(observe(&on), observe(&off), "cache changed a modeled observable");
+    const PINNED: [(&str, [u64; 6]); 7] = [
+        ("SalaryDB", [18, 12, 0, 8, 4, 0]),
+        ("SimLogic", [14, 12, 0, 8, 4, 0]),
+        ("CSVToXML", [8, 15, 0, 9, 6, 0]),
+        ("Java2XHTML", [8, 14, 0, 8, 6, 0]),
+        ("Weka", [9, 9, 0, 4, 5, 0]),
+        ("SPECjbb2000", [30, 50, 0, 22, 28, 3]),
+        ("SPECjbb2005", [23, 54, 0, 24, 30, 4]),
+    ];
+    let names: Vec<&str> = catalog(Scale::Small).iter().map(|w| w.name).collect();
+    assert_eq!(names, PINNED.map(|(n, _)| n), "catalog changed");
+    let capacity = VmConfig::default().code_cache_capacity;
+    for (name, want) in PINNED {
+        let (w, prepared) = prepare_small(name);
+        let on = churn(&w, &prepared, capacity, &[true; 4], None);
+        let off = churn(&w, &prepared, 0, &[true; 4], None);
+        assert_eq!(observe(&on), observe(&off), "{name}: cache changed a modeled observable");
 
-    let s = on.stats();
-    assert!(s.code_cache_hits > 0, "plan-reload churn must produce hits");
-    assert!(s.code_cache_misses > 0);
-    assert_eq!(off.stats().code_cache_hits, 0, "disabled cache counted hits");
-    assert_eq!(off.stats().code_cache_misses, 0, "disabled cache counted misses");
-    // Hits reuse stored code ids, so the cached run's immortal code store
-    // is strictly smaller — that is the space half of the win.
-    assert!(
-        on.state.code.len() < off.state.code.len(),
-        "hits must not append duplicate code ({} vs {})",
-        on.state.code.len(),
-        off.state.code.len()
-    );
-    // The lift cache shares one baseline per method across every compile.
-    assert!(on.state.lift_cache.hits > 0, "baseline lifts must be shared");
+        let (s, lift) = (on.stats(), &on.state.lift_cache);
+        let got = [
+            s.code_cache_hits,
+            s.code_cache_misses,
+            s.code_cache_evictions,
+            lift.hits,
+            lift.misses,
+            lift.consed,
+        ];
+        assert_eq!(got, want, "{name}: churn cache counters moved");
+        assert_eq!(off.stats().code_cache_hits, 0, "{name}: disabled cache counted hits");
+        assert_eq!(off.stats().code_cache_misses, 0, "{name}: disabled cache counted misses");
+        // Hits reuse stored code ids, so the cached run's immortal code
+        // store is strictly smaller — that is the space half of the win.
+        assert!(
+            on.state.code.len() < off.state.code.len(),
+            "{name}: hits must not append duplicate code ({} vs {})",
+            on.state.code.len(),
+            off.state.code.len()
+        );
+    }
 }
 
 #[test]

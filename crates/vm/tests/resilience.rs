@@ -69,8 +69,8 @@ fn run_storm(seed: u64, governor_on: bool, trace: bool) -> Vm {
 ///
 /// The modeled clock may not grow: guards are 0-cycle and the deopt
 /// transition is unbilled, so damping the storm can only remove host-side
-/// work (the wall-clock ops/sec gate lives in `bench_resilience`, where
-/// the storm is large enough to time reliably).
+/// work (the host wall of a Full-scale storm is `benchmark/`'s
+/// `deopt_storm` workload).
 #[test]
 fn governed_storm_same_output_with_damped_churn() {
     let off = run_storm(1, false, false);
@@ -101,11 +101,12 @@ fn governed_storm_same_output_with_damped_churn() {
 /// `raise` to opt2 (the `storm_config` cadence), a deopt storm pins every
 /// call to the padded level-0 baseline, while the governed VM escalates to
 /// pinned *general opt2* code — at least twice the modeled throughput for
-/// the same output. This is the deterministic form of the wall-clock
-/// ops/sec gate `bench_resilience` measures.
+/// the same output, with the deopt churn cut at least twentyfold. The
+/// host-wall form of the same storm is `benchmark/`'s `deopt_storm`.
 #[test]
 fn governed_storm_doubles_modeled_throughput_under_tiering() {
     let mut clocks = Vec::new();
+    let mut deopts = Vec::new();
     let mut outputs = Vec::new();
     for on in [false, true] {
         let (p, plan) = storm_salarydb(24, 400);
@@ -117,6 +118,7 @@ fn governed_storm_doubles_modeled_throughput_under_tiering() {
         }));
         vm.run_entry().expect("storm run completes");
         clocks.push(vm.cycles());
+        deopts.push(vm.stats().deopts);
         outputs.push((vm.state.output.text.clone(), vm.state.output.checksum));
     }
     assert_eq!(outputs[0], outputs[1], "governor changed storm output");
@@ -125,6 +127,12 @@ fn governed_storm_doubles_modeled_throughput_under_tiering() {
         "tiered storm not 2x damped: off {} vs on {}",
         clocks[0],
         clocks[1]
+    );
+    assert!(
+        deopts[0] >= 20 * deopts[1],
+        "tiered storm churn not damped 20x: off {} deopts vs on {}",
+        deopts[0],
+        deopts[1]
     );
 }
 
