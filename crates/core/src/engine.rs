@@ -55,8 +55,6 @@ struct ClassRt {
     /// One special TIB per instance part (empty for static-only classes).
     special_tibs: Vec<TibId>,
     methods: Vec<MethodRt>,
-    /// The vtable slots of `methods`: what `sync_unmanaged_slots` skips.
-    managed: Vec<u32>,
     /// Static-part satisfaction per hot state as of the last refresh —
     /// only used to emit class-wide `StateTransition` trace events on
     /// toggles (tracing is host-side; this never affects installs).
@@ -217,7 +215,6 @@ impl MutationEngine {
                 inst_parts,
                 state_part,
                 special_tibs,
-                managed: methods.iter().filter_map(|m| m.vslot).collect(),
                 methods,
                 prev_statics_ok: Vec::new(),
             });
@@ -334,11 +331,10 @@ impl MutationEngine {
         });
         let target = match matched {
             Some(p) => {
-                // Flip-in re-sync: the governor may have pinned this part's
-                // slots to general code (throttle/blacklist) or the pin's
-                // backoff may have expired — make the TIB's slot view agree
-                // with the current verdicts before any object dispatches
-                // through it.
+                // Flip-in re-sync: once the governor has pinned a special
+                // (throttle/blacklist) this part's slots may disagree with
+                // the current verdicts — make them agree before any object
+                // dispatches through the TIB.
                 self.resync_part_slots(vm, ci, p);
                 self.rt[ci].special_tibs[p]
             }
@@ -352,18 +348,18 @@ impl MutationEngine {
     /// Recomputes the mutable-method slots of the special TIB for instance
     /// part `p` from the current static state and governor verdicts —
     /// refresh_class's per-part arm, filtered by
-    /// [`VmState::special_usable`]. Writes only slots that actually change,
-    /// so a flip-in with nothing to restore stays free of cache
-    /// invalidations.
+    /// [`VmState::special_usable`].
     ///
-    /// While [`VmState::flip_in_quiet`] holds there is nothing to restore:
-    /// every special is usable, so `pick` returns what it returned to the
-    /// last `refresh_class` — which runs after every event that moves an
-    /// input of `pick` (static state store, new specials, announced general
-    /// install) — and each slot already holds it. A release build leaves at
-    /// once; a debug build walks the slots and asserts that none differs.
+    /// Until the governor first pins a special ([`VmState::has_pinned`])
+    /// there is nothing to restore: every special is usable, so `pick`
+    /// returns what it returned to the last `refresh_class` — which runs
+    /// after every event that moves an input of `pick` (static state store,
+    /// new specials) — and each slot already holds it; a general install
+    /// reaches the slots that fall back to general code by inheritance. A
+    /// release build leaves at once; a debug build walks the slots and
+    /// asserts that none changes.
     fn resync_part_slots(&mut self, vm: &mut VmState, ci: usize, p: usize) {
-        let quiet = vm.flip_in_quiet();
+        let quiet = !vm.has_pinned();
         if quiet && !cfg!(debug_assertions) {
             return;
         }
@@ -372,19 +368,16 @@ impl MutationEngine {
         let tib = rt.special_tibs[p];
         for m in &rt.methods {
             let Some(vslot) = m.vslot else { continue };
-            let slot = match rt.pick(vm, m, Some(p), &self.statics_ok) {
-                Some(cid) => CodeSlot::Code(cid),
-                None => vm.tib_slot(rt.class_tib, vslot),
-            };
-            if vm.tib_slot(tib, vslot) != slot {
-                debug_assert!(!quiet, "flip-in quiet, yet slot {vslot} of {tib:?} is stale");
-                vm.set_tib_slot(tib, vslot, slot);
-            }
+            let slot = rt.pick(vm, m, Some(p), &self.statics_ok);
+            let wrote = vm.set_tib_slot(tib, vslot, slot.map_or(CodeSlot::Lazy, CodeSlot::Code));
+            debug_assert!(!(quiet && wrote), "no pin yet, but slot {vslot} of {tib:?} was stale");
         }
     }
 
     /// Reinstalls mutable-method code pointers for one class according to
-    /// the current static state (Fig. 4 bottom / Fig. 5 install step).
+    /// the current static state (Fig. 4 bottom / Fig. 5 install step). A
+    /// special-TIB slot with no usable special inherits the class TIB's
+    /// entry; only slots whose value changes are written.
     fn refresh_class(&mut self, vm: &mut VmState, ci: usize) {
         eval_statics(&mut self.statics_ok, &self.rt[ci].states, vm);
         let statics_ok = &self.statics_ok;
@@ -428,36 +421,25 @@ impl MutationEngine {
                 continue;
             }
             let Some(vslot) = m.vslot else { continue };
-            let general = vm.tib_slot(class_tib, vslot);
             if rt.special_tibs.is_empty() {
                 // Static-only class: the class TIB itself is specialized.
                 let slot = match rt.pick(vm, m, None, statics_ok) {
                     Some(cid) => CodeSlot::Code(cid),
                     None => match vm.general_code[m.method.index()] {
                         Some(cid) => CodeSlot::Code(cid),
-                        None => general,
+                        None => vm.tib_slot(class_tib, vslot),
                     },
                 };
                 vm.set_tib_slot(class_tib, vslot, slot);
             } else {
                 for (p, &tib) in rt.special_tibs.iter().enumerate() {
-                    let slot = match rt.pick(vm, m, Some(p), statics_ok) {
-                        Some(cid) => CodeSlot::Code(cid),
-                        None => general,
-                    };
-                    vm.set_tib_slot(tib, vslot, slot);
+                    let slot = rt.pick(vm, m, Some(p), statics_ok);
+                    vm.set_tib_slot(tib, vslot, slot.map_or(CodeSlot::Lazy, CodeSlot::Code));
                 }
             }
         }
-    }
-
-    /// Keeps special TIBs mirroring the class TIB for all slots the engine
-    /// does not manage (inherited and non-mutable methods).
-    fn sync_unmanaged_slots(&self, vm: &mut VmState, ci: usize) {
-        let rt = &self.rt[ci];
-        for &tib in &rt.special_tibs {
-            vm.sync_special_from_class(rt.class, tib, &rt.managed);
-        }
+        #[cfg(debug_assertions)]
+        vm.check_dispatch();
     }
 
     /// Fig. 5: generate special versions of a mutable method.
@@ -570,11 +552,11 @@ impl MutationHandler for MutationEngine {
                 self.refresh_class(vm, ci);
             }
         }
-        // Any recompile: keep special TIBs in sync with class TIBs for the
-        // slots the engine does not manage.
+        // Any recompile: re-pick every class's mutable slots (a static-only
+        // class TIB falls back to the new general code, and an expired
+        // governor verdict re-enables its special here). Special TIBs need
+        // no mirroring: their other slots inherit.
         for ci in 0..self.rt.len() {
-            self.sync_unmanaged_slots(vm, ci);
-            // Mutable slots may need refreshing too (general code changed).
             self.refresh_class(vm, ci);
         }
     }

@@ -147,7 +147,8 @@ pub enum TraceEvent {
         /// Resume op index.
         op: u32,
     },
-    /// Sampled inline-cache hits: one event per `sampled` probes.
+    /// Sampled inline-cache hits (interface call sites, the only ones
+    /// with a cache): one event per `sampled` probes.
     IcHit {
         /// Method whose call site probed the cache (the caller).
         method: u32,
@@ -156,7 +157,8 @@ pub enum TraceEvent {
         /// Number of hits this event stands for.
         sampled: u32,
     },
-    /// Sampled inline-cache misses: one event per `sampled` probes.
+    /// Sampled inline-cache misses (interface call sites): one event per
+    /// `sampled` probes.
     IcMiss {
         /// Method whose call site probed the cache (the caller).
         method: u32,

@@ -114,7 +114,8 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Inject full (mark-sweep) garbage collections at allocation points.
     pub gc_at_alloc: bool,
-    /// Inject global inline-cache version bumps at allocation points.
+    /// Inject global version bumps of the interface-site caches at
+    /// allocation points (nothing else empties them).
     pub ic_bumps: bool,
     /// Inject silent same-level recompilation of the running method at
     /// allocation points.
@@ -188,7 +189,7 @@ impl FaultConfig {
 pub enum Fault {
     /// Run a garbage collection now.
     Gc,
-    /// Bump the global inline-cache version.
+    /// Bump the global version of the interface-site caches.
     IcBump,
     /// Recompile the currently-running method at its current level.
     Recompile,

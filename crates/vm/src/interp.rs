@@ -12,15 +12,24 @@
 //! extends the pool instead of allocating a fresh `Vec`. Cycle and op
 //! charges are folded per straight-line segment at lowering time and charged
 //! at the flush points (see [`crate::linear`]), keeping the *modeled* cycle
-//! counts bit-identical to per-op accounting. Receiver-polymorphic call
-//! sites carry monomorphic inline caches keyed on the receiver's TIB (see
-//! [`VmState::ic_lookup`]), invalidated wholesale whenever the mutation
-//! engine patches TIBs, the JTOC, or installs code.
+//! counts bit-identical to per-op accounting.
+//!
+//! # Dispatch
+//!
+//! A virtual call reads `TIB[vslot]` of the receiver's TIB, the vslot found
+//! in a dense `class × selector` table; a special TIB's inheriting slot
+//! reads its class TIB's entry ([`VmState::tib_slot`]), so a TIB flip is
+//! the whole cost of reaching specialized code. A static or `invokespecial`
+//! call (its target resolved once, at lowering) reads the JTOC: the
+//! mutation engine's override, else the method's general code. Only an
+//! interface call has a search to skip: each site memoizes its last IMT
+//! lookup keyed by receiver class ([`VmState::ic_lookup`]), and still reads
+//! the target through the receiver's TIB.
 
 use crate::error::RunError;
 use crate::hooks::{MutationHandler, NoopHandler, VmObserver};
-use crate::linear::{CallSite, Inst, LinearCode};
-use crate::state::{CodeSlot, CompiledId, Frame, Output, VmConfig, VmState, STATIC_SITE_TIB};
+use crate::linear::{CallSite, Inst, LinearCode, UNRESOLVED};
+use crate::state::{CodeSlot, CompiledId, Frame, Output, VmConfig, VmState};
 use crate::stats::VmStats;
 use crate::tib::TibId;
 use dchm_bytecode::value::ObjRef;
@@ -480,10 +489,13 @@ impl Vm {
                                 _ => Some(non_null!(cs.obj, bail)),
                             };
                             let bound = match (inst, recv) {
-                                (Inst::CallVirtual { .. }, Some(r)) => {
-                                    self.bind_virtual(method, cid, site, &cs, r)
+                                (Inst::CallVirtual { .. }, Some(r)) if cs.iface => {
+                                    self.dispatch_interface(method, cid, site, &cs, r)
                                 }
-                                _ => self.bind_static(cid, site, &cs, recv.is_some()),
+                                (Inst::CallVirtual { .. }, Some(r)) => {
+                                    self.dispatch_virtual(r, cs.sel)
+                                }
+                                _ => self.bind_static(&cs, recv.is_some()),
                             };
                             match bound {
                                 Ok((m, c)) => enter!(m, c, recv.map(Value::Ref), cs),
@@ -916,64 +928,26 @@ impl Vm {
         }
     }
 
-    /// Binds a receiver-dispatched call site: the inline cache keyed on the
-    /// receiver's TIB, else the slow path (which fills the cache).
-    #[inline]
-    fn bind_virtual(
-        &mut self,
-        caller: MethodId,
-        cid: CompiledId,
-        site: u32,
-        cs: &CallSite,
-        recv: ObjRef,
-    ) -> Result<(MethodId, CompiledId), RunError> {
-        let tib = self.state.heap.try_object(recv)?.tib;
-        if let Some((m, c, extra)) = self.state.ic_lookup(cid, site, tib) {
-            // Replay the deterministic dispatch extras the slow path would
-            // charge (interface sites only).
-            if extra != 0 {
-                self.charge(caller, extra);
-            }
-            return Ok((m, c));
-        }
-        let (m, c, extra) = if cs.iface {
-            self.dispatch_interface(recv, cs.sel, caller)?
-        } else {
-            let (m, c) = self.dispatch_virtual(recv, cs.sel)?;
-            (m, c, 0)
-        };
-        self.state.ic_store(cid, site, tib, m, c, extra);
-        Ok((m, c))
-    }
-
-    /// Binds a receiver-monomorphic call site (`special`: resolved through
-    /// the declaring class; otherwise a static method): the inline cache,
-    /// else JTOC resolution.
+    /// Binds a receiver-monomorphic call site (`special`: an
+    /// `invokespecial`; otherwise a static method) to its target's JTOC
+    /// entry.
     #[inline]
     fn bind_static(
         &mut self,
-        cid: CompiledId,
-        site: u32,
         cs: &CallSite,
         special: bool,
     ) -> Result<(MethodId, CompiledId), RunError> {
-        if let Some((m, c, _)) = self.state.ic_lookup(cid, site, STATIC_SITE_TIB) {
-            return Ok((m, c));
+        if special && cs.target == UNRESOLVED {
+            let sel = self.state.program.selector_name(cs.sel);
+            return Err(RunError::NoSuchMethod { what: format!("invokespecial {sel}") });
         }
-        let target = if special {
-            let (class, sel) = (ClassId(cs.target), cs.sel);
-            let resolved = self.state.resolve_special_cached(class, sel);
-            resolved.ok_or_else(|| RunError::NoSuchMethod { what: format!("{class}::{sel}") })?
-        } else {
-            MethodId(cs.target)
-        };
-        let tcid = self.dispatch_static_bound(target);
-        self.state.ic_store(cid, site, STATIC_SITE_TIB, target, tcid, 0);
-        Ok((target, tcid))
+        let target = MethodId(cs.target);
+        Ok((target, self.dispatch_static_bound(target)))
     }
 
-    /// Virtual dispatch through the object's (possibly special) TIB — the
-    /// inline-cache miss path.
+    /// Virtual dispatch: `TIB[vslot]` of the receiver's (possibly special)
+    /// TIB.
+    #[inline]
     fn dispatch_virtual(
         &mut self,
         recv: ObjRef,
@@ -983,101 +957,105 @@ impl Vm {
             let o = self.state.heap.try_object(recv)?;
             (o.tib, o.class)
         };
-        let vslot = self
-            .state
-            .vtable_slot_fast(class, sel)
-            .ok_or_else(|| RunError::NoSuchMethod {
+        let Some(vslot) = self.state.vtable_slot_fast(class, sel) else {
+            return Err(RunError::NoSuchMethod {
                 what: format!(
                     "{}::{}",
                     self.state.program.class(class).name,
                     self.state.program.selector_name(sel)
                 ),
-            })? as usize;
+            });
+        };
         self.resolve_slot(tib, class, vslot)
     }
 
-    /// Interface dispatch through the shared IMT — the inline-cache miss
-    /// path. Returns the deterministic extra dispatch cycles charged
-    /// (conflict search + mutable-class load) so the caller can cache them.
+    /// Interface dispatch through the class's IMT, whose search the site's
+    /// cache memoizes per receiver class; charges the deterministic extra
+    /// cycles (conflict search, mutable-class TIB-offset load) on every
+    /// call, then reads the slot through the receiver's TIB.
     fn dispatch_interface(
         &mut self,
-        recv: ObjRef,
-        sel: SelectorId,
         caller: MethodId,
-    ) -> Result<(MethodId, CompiledId, u64), RunError> {
+        cid: CompiledId,
+        site: u32,
+        cs: &CallSite,
+        recv: ObjRef,
+    ) -> Result<(MethodId, CompiledId), RunError> {
         let (tib, class) = {
             let o = self.state.heap.try_object(recv)?;
             (o.tib, o.class)
         };
-        let imt_idx = self.state.tibs[tib.index()].imt as usize;
-        let hit = self.state.imts[imt_idx].lookup(sel);
-        let mut extra = 0u64;
-        let vslot = match hit {
-            Some((v, conflicted)) => {
-                if conflicted {
-                    extra += IMT_CONFLICT_COST;
-                }
-                v as usize
-            }
+        let (vslot, conflicted) = match self.state.ic_lookup(cid, site, cs.target, class) {
+            Some(hit) => hit,
             None => {
-                // Robust fallback through the vtable mapping.
-                self.state
-                    .vtable_slot_fast(class, sel)
-                    .ok_or_else(|| RunError::NoSuchMethod {
-                        what: format!(
-                            "interface {} on {}",
-                            self.state.program.selector_name(sel),
-                            self.state.program.class(class).name
-                        ),
-                    })? as usize
+                let imt = self.state.tibs[tib.index()].imt as usize;
+                let found = match self.state.imts[imt].lookup(cs.sel) {
+                    Some(hit) => hit,
+                    // Robust fallback through the vtable mapping.
+                    None => match self.state.vtable_slot_fast(class, cs.sel) {
+                        Some(v) => (v, false),
+                        None => {
+                            return Err(RunError::NoSuchMethod {
+                                what: format!(
+                                    "interface {} on {}",
+                                    self.state.program.selector_name(cs.sel),
+                                    self.state.program.class(class).name
+                                ),
+                            })
+                        }
+                    },
+                };
+                self.state.ic_store(cid, cs.target, class, found.0, found.1);
+                found
             }
         };
-        if self.state.mutable_classes.contains(&class) {
+        let mut extra = 0;
+        if conflicted {
+            extra += IMT_CONFLICT_COST;
+        }
+        if self.state.mutable_classes[class.index()] {
             extra += IMT_MUTABLE_EXTRA_LOAD;
         }
         if extra != 0 {
             self.charge(caller, extra);
         }
-        let (m, c) = self.resolve_slot(tib, class, vslot)?;
-        Ok((m, c, extra))
+        self.resolve_slot(tib, class, vslot)
     }
 
     /// Resolves a TIB method slot, compiling lazily on first touch.
+    #[inline]
     fn resolve_slot(
         &mut self,
         tib: TibId,
         class: ClassId,
-        vslot: usize,
+        vslot: u32,
     ) -> Result<(MethodId, CompiledId), RunError> {
-        match self.state.tibs[tib.index()].methods[vslot] {
-            CodeSlot::Code(cid) => Ok((self.state.code[cid.index()].method, cid)),
-            CodeSlot::Lazy => {
-                let mid = self.state.program.class(class).vtable[vslot];
-                if self.state.program.method(mid).kind == MethodKind::Abstract {
-                    return Err(RunError::AbstractCall {
-                        method: self.state.program.method(mid).name.clone(),
-                    });
-                }
-                let cid = self.state.ensure_compiled(mid);
-                self.drain_events();
-                // The install (and possibly the mutation handler) filled the
-                // slot; if the dispatching TIB still says Lazy (e.g. an
-                // unsynced special TIB), fall back to the general code.
-                match self.state.tibs[tib.index()].methods[vslot] {
-                    CodeSlot::Code(c) => Ok((self.state.code[c.index()].method, c)),
-                    CodeSlot::Lazy => {
-                        self.state.tibs[tib.index()].methods[vslot] = CodeSlot::Code(cid);
-                        Ok((mid, cid))
-                    }
-                }
-            }
+        if let CodeSlot::Code(cid) = self.state.tib_slot(tib, vslot) {
+            return Ok((self.state.code[cid.index()].method, cid));
+        }
+        let mid = self.state.program.class(class).vtable[vslot as usize];
+        if self.state.program.method(mid).kind == MethodKind::Abstract {
+            return Err(RunError::AbstractCall {
+                method: self.state.program.method(mid).name.clone(),
+            });
+        }
+        let cid = self.state.ensure_compiled(mid);
+        self.drain_events();
+        // The install filled the class TIB; the handler it reached may have
+        // pointed a special TIB's slot at special code.
+        match self.state.tib_slot(tib, vslot) {
+            CodeSlot::Code(c) => Ok((self.state.code[c.index()].method, c)),
+            CodeSlot::Lazy => Ok((mid, cid)),
         }
     }
 
-    /// Statically-bound dispatch (JTOC): honors the mutation engine's
-    /// override, otherwise the one valid general compiled method.
+    /// Statically-bound dispatch (JTOC): the mutation engine's override,
+    /// else the one valid general compiled method; only a method with
+    /// neither compiles (and lets the handler react) first.
+    #[inline]
     fn dispatch_static_bound(&mut self, mid: MethodId) -> CompiledId {
-        if let Some(cid) = self.state.static_override[mid.index()] {
+        let st = &self.state;
+        if let Some(cid) = st.static_override[mid.index()].or(st.general_code[mid.index()]) {
             return cid;
         }
         let cid = self.state.ensure_compiled(mid);

@@ -5,8 +5,9 @@
 //! Blocks are laid out in order, each block's ops followed by its
 //! terminator, one instruction per op — so source coordinates map to pcs by
 //! arithmetic. Branch targets are absolute pcs, field operands are storage
-//! slots, call operands live in the [`CallSite`] pool (whose index is also
-//! the inline-cache site id) and guard bindings in the [`GuardSite`] pool.
+//! slots, call operands live in the [`CallSite`] pool (with each
+//! `invokespecial` resolved to its target once, here) and guard bindings in
+//! the [`GuardSite`] pool.
 //!
 //! A *segment* is the straight-line run since the last flush point — block
 //! entry or the instruction after a call. Its modeled cost (`Σ op_cost`,
@@ -125,7 +126,11 @@ impl Inst {
 
 const _: () = assert!(std::mem::size_of::<Inst>() <= 16);
 
-/// Operands of one call instruction; its pool index is the IC site id.
+/// [`CallSite::target`] of an `invokespecial` that resolves to no method;
+/// executing it traps.
+pub const UNRESOLVED: u32 = u32::MAX;
+
+/// Operands of one call instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CallSite {
     /// Caller register receiving the result.
@@ -136,7 +141,10 @@ pub struct CallSite {
     pub iface: bool,
     /// Selector (unused by static calls).
     pub sel: SelectorId,
-    /// Resolution class of a special call / target method of a static one.
+    /// Target method of a static or special call ([`UNRESOLVED`] when an
+    /// `invokespecial` resolves to nothing); for an interface call, its
+    /// index among the code's interface sites, which keys the per-site
+    /// IMT-search cache.
     pub target: u32,
     /// Argument registers: a range of [`LinearCode::args`].
     pub args: (u32, u32),
@@ -218,6 +226,7 @@ pub fn lower(func: &Function, program: &Program, resume: &[DeoptPoint]) -> Linea
     let mut prefix = Vec::with_capacity(total);
     let mut l = LinearCode { num_regs: func.num_regs, ..Default::default() };
     l.calls.reserve_exact(sites as usize);
+    let mut ifaces = 0;
     for (i, (b, from)) in main.chain(tails).enumerate() {
         let block = &func.blocks[b];
         // Tails reuse the call sites the main body registered.
@@ -281,12 +290,16 @@ pub fn lower(func: &Function, program: &Program, resume: &[DeoptPoint]) -> Linea
                 _ => {
                     let cost = fold(seg);
                     let (inst, dst, obj, sel, target, args) = match op {
-                        Op::CallVirtual { dst, sel, obj, args }
-                        | Op::CallInterface { dst, sel, obj, args, .. } => {
+                        Op::CallVirtual { dst, sel, obj, args } => {
                             (Inst::CallVirtual { site, cost }, dst, *obj, *sel, 0, args)
                         }
+                        Op::CallInterface { dst, sel, obj, args, .. } => {
+                            (Inst::CallVirtual { site, cost }, dst, *obj, *sel, ifaces, args)
+                        }
                         Op::CallSpecial { dst, class, sel, obj, args } => {
-                            (Inst::CallSpecial { site, cost }, dst, *obj, *sel, class.0, args)
+                            let target = program.resolve_special(*class, *sel);
+                            let target = target.map_or(UNRESOLVED, |m| m.0);
+                            (Inst::CallSpecial { site, cost }, dst, *obj, *sel, target, args)
                         }
                         Op::CallStatic { dst, method, args } => {
                             let inst = Inst::CallStatic { site, cost };
@@ -299,6 +312,7 @@ pub fn lower(func: &Function, program: &Program, resume: &[DeoptPoint]) -> Linea
                         l.args.extend_from_slice(args);
                         let args = (at, l.args.len() as u32);
                         let iface = matches!(op, Op::CallInterface { .. });
+                        ifaces += u32::from(iface);
                         l.calls.push(CallSite { dst: *dst, obj, iface, sel, target, args });
                     }
                     seg = (0, 0);

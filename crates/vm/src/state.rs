@@ -48,7 +48,9 @@ impl fmt::Debug for CompiledId {
 /// A TIB/JTOC method entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CodeSlot {
-    /// Not compiled yet (lazy compilation, kept intact for special TIBs).
+    /// In a class TIB: not compiled yet (lazy compilation). In a special
+    /// TIB: *inherit* — dispatch reads the class TIB's entry instead (see
+    /// [`VmState::tib_slot`]).
     #[default]
     Lazy,
     /// Compiled code.
@@ -58,40 +60,28 @@ pub enum CodeSlot {
 /// Sentinel for "no vtable slot" in the dense dispatch table.
 pub const NO_SITE: u32 = u32::MAX;
 
-/// Pseudo-TIB key for inline-cache entries at receiver-monomorphic sites
-/// (`CallSpecial`/`CallStatic`), whose resolution does not depend on the
-/// receiver's TIB. No real TIB ever gets this id.
-pub const STATIC_SITE_TIB: TibId = TibId(u32::MAX);
-
-/// One monomorphic inline-cache entry: the last dispatch outcome observed
-/// at a call site, keyed by the receiver's TIB. `version` ties the entry to
-/// the global [`VmState::ic_version`]; any TIB/JTOC patch bumps the version
-/// and implicitly empties every cache in O(1).
+/// One interface call site's memo of its IMT search: the vtable slot the
+/// selector resolved to for the last receiver class seen there, and whether
+/// the search went through a conflict stub. A class and its special TIBs
+/// share one IMT, so the search is a function of the class alone and no
+/// slot write can make an entry stale; the target itself is still read
+/// through the receiver's TIB on every call. `version` ties the entry to
+/// [`VmState::ic_version`], which only the fault injector's IC bump moves.
 #[derive(Clone, Copy, Debug)]
 pub struct IcEntry {
     /// `ic_version` at fill time; a stale version means the entry is empty.
     version: u64,
-    /// The receiver TIB this entry was filled for.
-    tib: u32,
-    /// Cached dispatch target method.
-    method: MethodId,
-    /// Cached dispatch target code.
-    cid: CompiledId,
-    /// Deterministic extra dispatch cycles to charge on a hit (IMT conflict
-    /// search + mutable-class TIB-offset load for interface sites; 0 for
-    /// virtual sites). Pure function of `(tib, selector)`, so cacheable.
-    extra: u64,
+    /// The receiver class this entry was filled for.
+    class: u32,
+    /// The vtable slot the selector resolves to on that class.
+    vslot: u32,
+    /// The search went through a conflict stub (charged on every call).
+    conflicted: bool,
 }
 
 impl IcEntry {
     /// A never-filled entry (version 0 predates every `ic_version`).
-    pub const EMPTY: IcEntry = IcEntry {
-        version: 0,
-        tib: 0,
-        method: MethodId(0),
-        cid: CompiledId(0),
-        extra: 0,
-    };
+    pub const EMPTY: IcEntry = IcEntry { version: 0, class: 0, vslot: 0, conflicted: false };
 }
 
 /// One compiled method: the unit the optimizing compiler produces.
@@ -110,8 +100,8 @@ pub struct CompiledMethod {
     /// `Rc`): the allocation may be shared with other tenant VMs through
     /// the fleet's [`SharedCodeCache`].
     pub func: Arc<Function>,
-    /// The executable form (see [`crate::linear`]); its call-site pool
-    /// sizes this method's inline-cache row.
+    /// The executable form (see [`crate::linear`]); its interface call
+    /// sites size this method's row of IMT-search caches.
     pub lin: Arc<LinearCode>,
     /// Modeled machine-code size in bytes.
     pub size_bytes: usize,
@@ -216,7 +206,7 @@ pub struct Frame {
     /// Id of the executing code in the append-only [`VmState::code`] store.
     /// Pins the exact code version (frames keep old code across
     /// recompilation; no on-stack replacement, as in the paper) and keys
-    /// the inline-cache row.
+    /// the row of interface-site caches its calls read.
     pub cid: CompiledId,
     /// First register slot of this frame's window in the pooled stack.
     pub base: usize,
@@ -287,9 +277,9 @@ pub struct VmState {
     pub patch_spec: PatchSpec,
     /// Compile-time hints from the mutation engine (OLC, Sec. 5 heuristic).
     pub hints: CompilerHints,
-    /// Classes marked mutable by the engine; their interface dispatch pays
-    /// the extra TIB-offset load (Sec. 3.2.3).
-    pub(crate) mutable_classes: HashSet<ClassId>,
+    /// Per class: marked mutable by the engine, so its interface dispatch
+    /// pays the extra TIB-offset load (Sec. 3.2.3).
+    pub(crate) mutable_classes: Vec<bool>,
     /// Statistics.
     pub stats: VmStats,
     /// Modeled cycle clock (execution + compilation + GC).
@@ -314,12 +304,12 @@ pub struct VmState {
     /// slice of this vector (see [`Frame`]). Host re-entry simply allocates
     /// past the current top, so no free list is needed.
     pub reg_stack: Vec<Value>,
-    /// Per-compiled-method inline-cache rows, parallel to `code`; indexed
-    /// by call-site id ([`LinearCode::calls`]).
+    /// Per-compiled-method rows of interface-site caches, parallel to
+    /// `code`; indexed by an interface site's [`crate::linear::CallSite`]
+    /// `target`.
     pub(crate) icaches: Vec<Vec<IcEntry>>,
-    /// Global inline-cache generation. Bumped by every TIB/JTOC patch,
-    /// code install and mutable-class marking; entries with an older
-    /// version are treated as empty.
+    /// Global interface-cache generation, bumped only by an injected IC
+    /// bump; entries with an older version are treated as empty.
     pub(crate) ic_version: u64,
     /// Flattened `class x selector -> vtable slot` table
     /// (`[class * num_selectors + selector]`, [`NO_SITE`] = absent);
@@ -334,8 +324,6 @@ pub struct VmState {
     /// Events for the interpreter to forward to the mutation handler:
     /// `(method, level)` of freshly installed general code.
     pub(crate) recompile_events: Vec<(MethodId, u8)>,
-    /// Cache for `invokespecial` resolution.
-    special_resolution: HashMap<(u32, u32), MethodId>,
     /// Selector -> the unique concrete implementation, when there is
     /// exactly one program-wide (CHA devirtualization).
     pub(crate) unique_impl: HashMap<SelectorId, MethodId>,
@@ -385,6 +373,8 @@ pub struct VmState {
     /// Set when a contained panic left the VM state suspect; further runs
     /// return [`RunError::Poisoned`] instead of executing.
     pub poisoned: bool,
+    /// Set by the first governor pin ([`Self::has_pinned`]).
+    pinned: bool,
 }
 
 impl VmState {
@@ -488,7 +478,7 @@ impl VmState {
             static_override: vec![None; nmethods],
             patch_spec: PatchSpec::default(),
             hints: CompilerHints::default(),
-            mutable_classes: HashSet::new(),
+            mutable_classes: vec![false; nclasses],
             stats,
             clock: 0,
             next_sample_at: sample_period,
@@ -504,7 +494,6 @@ impl VmState {
             output: Output::default(),
             handles: Vec::new(),
             recompile_events: Vec::new(),
-            special_resolution: HashMap::new(),
             unique_impl,
             field_templates,
             injector: None,
@@ -519,6 +508,7 @@ impl VmState {
             shared_misses: 0,
             governor: Governor::default(),
             poisoned: false,
+            pinned: false,
         }
     }
 
@@ -865,10 +855,10 @@ impl VmState {
         }
     }
 
-    /// Appends a compiled artifact (and its inline-cache row) to the code
-    /// store. No billing, no trace. The artifact's `Arc`s are adopted as-is
-    /// — for a shared-cache hit that means zero copies of the function body
-    /// or its lowered code; the per-VM inline-cache row and governor verdict
+    /// Appends a compiled artifact (and its interface-cache row) to the
+    /// code store. No billing, no trace. The artifact's `Arc`s are adopted
+    /// as-is — for a shared-cache hit that means zero copies of the function
+    /// body or its lowered code; the per-VM cache row and governor verdict
     /// cache (`blocked_until`) stay private to this tenant.
     fn push_artifact(
         &mut self,
@@ -879,7 +869,8 @@ impl VmState {
         a: SharedArtifact,
     ) -> CompiledId {
         let cid = CompiledId(self.code.len() as u32);
-        self.icaches.push(vec![IcEntry::EMPTY; a.lin.calls.len()]);
+        let ifaces = a.lin.calls.iter().filter(|c| c.iface).count();
+        self.icaches.push(vec![IcEntry::EMPTY; ifaces]);
         self.code.push(CompiledMethod {
             method: mid,
             level,
@@ -1039,28 +1030,26 @@ impl VmState {
     /// TIB and every subclass TIB still inheriting this method. General
     /// code (never special code) propagates to subclasses — paper Fig. 6.
     fn install_general(&mut self, mid: MethodId, cid: CompiledId) {
-        self.invalidate_inline_caches();
         self.general_code[mid.index()] = Some(cid);
-        let md = self.program.method(mid);
-        if !md.is_virtual() {
-            return;
-        }
         let program = Rc::clone(&self.program);
-        let owner = md.owner;
-        let sel = md.selector;
-        let mut targets = vec![owner];
-        targets.extend(program.all_subclasses(owner));
-        for c in targets {
-            let cd = program.class(c);
-            if let Some(vslot) = cd.vtable_slot(sel) {
-                // Only patch where this method is still the resolution
-                // (an overriding subclass keeps its own entry).
-                if cd.vtable[vslot as usize] == mid {
-                    let tib = self.class_tibs[c.index()];
-                    self.tibs[tib.index()].methods[vslot as usize] = CodeSlot::Code(cid);
+        let md = program.method(mid);
+        if md.is_virtual() {
+            let mut targets = vec![md.owner];
+            targets.extend(program.all_subclasses(md.owner));
+            for c in targets {
+                let cd = program.class(c);
+                if let Some(vslot) = cd.vtable_slot(md.selector) {
+                    // Only patch where this method is still the resolution
+                    // (an overriding subclass keeps its own entry).
+                    if cd.vtable[vslot as usize] == mid {
+                        let tib = self.class_tibs[c.index()];
+                        self.tibs[tib.index()].methods[vslot as usize] = CodeSlot::Code(cid);
+                    }
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_dispatch();
     }
 
     /// Drains pending recompilation events. The interpreter forwards these
@@ -1074,15 +1063,16 @@ impl VmState {
     // Special TIB management (driven by the mutation engine)
     // ---------------------------------------------------------------
 
-    /// Creates a special TIB for hot state `state_index` of `class`: an
-    /// exact copy of the current class TIB sharing its IMT (Sec. 3.2.3).
+    /// Creates a special TIB for hot state `state_index` of `class`: every
+    /// slot inherits the class TIB's entry, and the class's IMT is shared
+    /// (Sec. 3.2.3).
     pub fn create_special_tib(&mut self, class: ClassId, state_index: usize) -> TibId {
         let class_tib = self.class_tibs[class.index()];
         let src = &self.tibs[class_tib.index()];
         let tib = Tib {
             class,
             kind: TibKind::Special { state_index },
-            methods: src.methods.clone(),
+            methods: vec![CodeSlot::Lazy; src.methods.len()],
             imt: src.imt,
         };
         self.stats.special_tib_bytes += tib.bytes() as u64;
@@ -1092,32 +1082,30 @@ impl VmState {
         id
     }
 
-    /// Points a TIB method slot at specific compiled code.
-    pub fn set_tib_slot(&mut self, tib: TibId, vslot: u32, code: CodeSlot) {
-        self.invalidate_inline_caches();
-        self.tibs[tib.index()].methods[vslot as usize] = code;
-        self.stats.code_patches += 1;
+    /// Points a TIB method slot at specific compiled code (in a special
+    /// TIB, `Lazy` makes the slot inherit again). Writes, and counts a code
+    /// patch, only when the slot changes; returns whether it did.
+    pub fn set_tib_slot(&mut self, tib: TibId, vslot: u32, code: CodeSlot) -> bool {
+        let slot = &mut self.tibs[tib.index()].methods[vslot as usize];
+        let changed = *slot != code;
+        if changed {
+            *slot = code;
+            self.stats.code_patches += 1;
+        }
+        changed
     }
 
-    /// Reads a TIB method slot.
+    /// The entry dispatch finds in a TIB method slot: a special TIB's
+    /// inheriting slot reads the class TIB's.
+    #[inline]
     pub fn tib_slot(&self, tib: TibId, vslot: u32) -> CodeSlot {
-        self.tibs[tib.index()].methods[vslot as usize]
-    }
-
-    /// Copies every slot of the class TIB of `class` into `special`,
-    /// *except* the given vslots (the mutable-method slots the engine
-    /// manages itself). Keeps special TIBs identical to the class TIB for
-    /// inherited/unrelated methods, preserving lazy compilation.
-    pub fn sync_special_from_class(&mut self, class: ClassId, special: TibId, skip: &[u32]) {
-        self.invalidate_inline_caches();
-        let class_tib = self.class_tibs[class.index()];
-        let n = self.tibs[class_tib.index()].methods.len();
-        for v in 0..n {
-            if skip.contains(&(v as u32)) {
-                continue;
+        let t = &self.tibs[tib.index()];
+        match t.methods[vslot as usize] {
+            CodeSlot::Lazy if t.kind != TibKind::Class => {
+                let class_tib = self.class_tibs[t.class.index()];
+                self.tibs[class_tib.index()].methods[vslot as usize]
             }
-            let s = self.tibs[class_tib.index()].methods[v];
-            self.tibs[special.index()].methods[v] = s;
+            slot => slot,
         }
     }
 
@@ -1181,19 +1169,19 @@ impl VmState {
 
     /// Sets the statically-bound dispatch override for `mid` (`None`
     /// restores the general code) — the JTOC patching of Fig. 4/5 for
-    /// static and `invokespecial`-bound methods.
+    /// static and `invokespecial`-bound methods. Writes, and counts a code
+    /// patch, only when the override changes.
     pub fn set_static_override(&mut self, mid: MethodId, code: Option<CompiledId>) {
-        self.invalidate_inline_caches();
-        self.static_override[mid.index()] = code;
-        self.stats.code_patches += 1;
+        if self.static_override[mid.index()] != code {
+            self.static_override[mid.index()] = code;
+            self.stats.code_patches += 1;
+        }
     }
 
     /// Marks `class` mutable: its interface dispatch pays the extra
-    /// TIB-offset load (Sec. 3.2.3). Invalidates inline caches because
-    /// interface-site entries cache that extra charge.
+    /// TIB-offset load (Sec. 3.2.3).
     pub fn mark_mutable_class(&mut self, class: ClassId) {
-        self.invalidate_inline_caches();
-        self.mutable_classes.insert(class);
+        self.mutable_classes[class.index()] = true;
     }
 
     // ---------------------------------------------------------------
@@ -1249,35 +1237,23 @@ impl VmState {
     }
 
     /// Pins every dispatch site currently routed at special code `bad`
-    /// back to general code: special-TIB method slots revert to the class
-    /// TIB's entry and a matching static override is cleared. Frames
+    /// back to general code: special-TIB method slots inherit the class
+    /// TIB's entry again and a matching static override is cleared. Frames
     /// already executing `bad` are untouched (they deoptimize on their own
     /// guards); this only stops *new* dispatches from entering the storm.
     fn pin_special(&mut self, bad: CompiledId) {
-        let mut changed = false;
-        for ti in 0..self.tibs.len() {
-            if matches!(self.tibs[ti].kind, TibKind::Class) {
-                continue;
-            }
-            let class_tib = self.class_tibs[self.tibs[ti].class.index()].index();
-            for v in 0..self.tibs[ti].methods.len() {
-                if self.tibs[ti].methods[v] == CodeSlot::Code(bad) {
-                    let general = self.tibs[class_tib].methods[v];
-                    if self.tibs[ti].methods[v] != general {
-                        self.tibs[ti].methods[v] = general;
-                        changed = true;
-                    }
-                }
+        self.pinned = true;
+        for tib in self.tibs.iter_mut().filter(|t| t.kind != TibKind::Class) {
+            for slot in tib.methods.iter_mut().filter(|s| **s == CodeSlot::Code(bad)) {
+                *slot = CodeSlot::Lazy;
             }
         }
         let mid = self.code[bad.index()].method;
         if self.static_override[mid.index()] == Some(bad) {
             self.static_override[mid.index()] = None;
-            changed = true;
         }
-        if changed {
-            self.invalidate_inline_caches();
-        }
+        #[cfg(debug_assertions)]
+        self.check_dispatch();
     }
 
     /// True when the governor permits special code `cid` to be installed
@@ -1289,17 +1265,13 @@ impl VmState {
         self.code[cid.index()].blocked_until <= self.clock
     }
 
-    /// True while a flip-in finds special-TIB slots as the mutation engine's
-    /// last refresh left them. The governor has never throttled or
-    /// blacklisted a special in this VM: every `blocked_until` is still 0,
-    /// so [`Self::special_usable`] holds for all code and `pin_special` has
-    /// reverted no slot. And the fault injector has made no silent
-    /// recompile, the one general install that queues no recompilation
-    /// event (`maybe_inject_at_alloc`).
-    pub fn flip_in_quiet(&self) -> bool {
-        self.stats.specials_throttled == 0
-            && self.stats.specials_blacklisted == 0
-            && self.injector.as_ref().is_none_or(|i| i.recompiles == 0)
+    /// True once the governor has pinned a special in this VM. Until then
+    /// every `blocked_until` is 0, so [`Self::special_usable`] holds for
+    /// all code and no slot was reverted behind the mutation engine's back:
+    /// a flip-in finds special-TIB slots as the engine's last refresh left
+    /// them.
+    pub fn has_pinned(&self) -> bool {
+        self.pinned
     }
 
     /// True when the governor permits compiling/installing a special of
@@ -1312,34 +1284,34 @@ impl VmState {
     }
 
     // ---------------------------------------------------------------
-    // Inline caches & dispatch helpers
+    // Dispatch helpers
     // ---------------------------------------------------------------
 
-    /// Empties every inline cache in O(1) by bumping the global generation.
-    /// Called on any patch that can change a dispatch outcome (code
-    /// install, TIB slot write, JTOC override, mutable-class marking).
+    /// Empties every interface-site cache in O(1) by bumping the global
+    /// generation — the fault injector's IC bump.
     fn invalidate_inline_caches(&mut self) {
         self.ic_version += 1;
         self.stats.ic_invalidations += 1;
     }
 
-    /// Inline-cache probe for call site `site` of compiled method `cid`
-    /// with receiver TIB `tib`. On a hit returns the cached
-    /// `(target method, target code, extra dispatch cycles)`.
+    /// Probes interface call site `site` (cache `row` of compiled method
+    /// `cid`) for receiver class `class`. On a hit returns the memoized
+    /// `(vslot, conflicted)` of the IMT search.
     #[inline]
     pub(crate) fn ic_lookup(
         &mut self,
         cid: CompiledId,
         site: u32,
-        tib: TibId,
-    ) -> Option<(MethodId, CompiledId, u64)> {
-        let e = self.icaches[cid.index()][site as usize];
-        if e.version == self.ic_version && e.tib == tib.0 {
+        row: u32,
+        class: ClassId,
+    ) -> Option<(u32, bool)> {
+        let e = self.icaches[cid.index()][row as usize];
+        if e.version == self.ic_version && e.class == class.0 {
             self.stats.ic_hits += 1;
             if self.tracer.on() {
                 self.trace_ic(cid, site, true);
             }
-            Some((e.method, e.cid, e.extra))
+            Some((e.vslot, e.conflicted))
         } else {
             self.stats.ic_misses += 1;
             if self.tracer.on() {
@@ -1361,41 +1333,59 @@ impl VmState {
         }
     }
 
-    /// Fills the inline-cache entry after a slow-path dispatch.
+    /// Fills interface-site cache `row` of compiled method `cid` after an
+    /// IMT search.
     #[inline]
     pub(crate) fn ic_store(
         &mut self,
         cid: CompiledId,
-        site: u32,
-        tib: TibId,
-        method: MethodId,
-        target: CompiledId,
-        extra: u64,
+        row: u32,
+        class: ClassId,
+        vslot: u32,
+        conflicted: bool,
     ) {
-        self.icaches[cid.index()][site as usize] = IcEntry {
-            version: self.ic_version,
-            tib: tib.0,
-            method,
-            cid: target,
-            extra,
-        };
+        let version = self.ic_version;
+        self.icaches[cid.index()][row as usize] =
+            IcEntry { version, class: class.0, vslot, conflicted };
     }
 
-    /// Dense `class x selector -> vtable slot` lookup (dispatch miss path).
+    /// Dense `class x selector -> vtable slot` lookup.
     #[inline]
     pub fn vtable_slot_fast(&self, class: ClassId, sel: SelectorId) -> Option<u32> {
         let v = self.vslot_dense[class.index() * self.num_selectors + sel.index()];
         (v != NO_SITE).then_some(v)
     }
 
-    /// Cached `invokespecial` resolution.
-    pub fn resolve_special_cached(&mut self, class: ClassId, sel: SelectorId) -> Option<MethodId> {
-        if let Some(&m) = self.special_resolution.get(&(class.0, sel.0)) {
-            return Some(m);
+    /// Checks the structure of the dispatch tables: every TIB slot is lazy
+    /// (in a special TIB: inherits) or holds code of the method its class's
+    /// vtable names there; every static override is code of its method;
+    /// every general code entry is non-special code of its method. Debug
+    /// builds run it after each general install, engine refresh and
+    /// governor pin.
+    ///
+    /// # Panics
+    /// Panics at the first entry that breaks one of these.
+    #[cfg(debug_assertions)]
+    pub fn check_dispatch(&self) {
+        for (ti, tib) in self.tibs.iter().enumerate() {
+            let vtable = &self.program.class(tib.class).vtable;
+            for (v, &slot) in tib.methods.iter().enumerate() {
+                if let CodeSlot::Code(c) = slot {
+                    let m = self.compiled(c).method;
+                    assert_eq!(m, vtable[v], "tib{ti} slot {v} holds {c:?}, code of {m:?}");
+                }
+            }
         }
-        let m = self.program.resolve_special(class, sel)?;
-        self.special_resolution.insert((class.0, sel.0), m);
-        Some(m)
+        let tables = self.static_override.iter().zip(&self.general_code);
+        for (m, (&over, &general)) in tables.enumerate() {
+            if let Some(c) = over {
+                assert_eq!(self.compiled(c).method.index(), m, "override of m{m} is {c:?}");
+            }
+            if let Some(c) = general {
+                let cm = self.compiled(c);
+                assert!(cm.method.index() == m && !cm.special, "general code of m{m} is {c:?}");
+            }
+        }
     }
 
     // ---------------------------------------------------------------
@@ -1575,8 +1565,8 @@ impl VmState {
     ///
     /// * an injected GC is a real mark-sweep over the real root set but
     ///   leaves the clock and GC stats untouched;
-    /// * an IC bump empties the inline caches, which are a host-side fast
-    ///   path with no modeled cost;
+    /// * an IC bump empties the interface-site caches, which are a
+    ///   host-side memo with no modeled cost;
     /// * an injected recompile regenerates and reinstalls the running
     ///   method's general code without billing compile cycles, touching the
     ///   profile or queueing a recompilation event — the compiler is
@@ -1729,16 +1719,15 @@ mod tests {
     }
 
     #[test]
-    fn special_tib_is_copy_sharing_imt() {
+    fn special_tib_inherits_and_shares_imt() {
         let (p, c, mid) = simple_program();
         let mut st = VmState::new(p, VmConfig::default());
-        st.ensure_compiled(mid);
+        let cid = st.ensure_compiled(mid);
         let special = st.create_special_tib(c, 0);
         let class_tib = st.class_tib(c);
-        assert_eq!(
-            st.tibs[special.index()].methods,
-            st.tibs[class_tib.index()].methods
-        );
+        let vslot = st.program.class(c).vtable_slot(st.program.method(mid).selector).unwrap();
+        assert!(st.tibs[special.index()].methods.iter().all(|&s| s == CodeSlot::Lazy));
+        assert_eq!(st.tib_slot(special, vslot), CodeSlot::Code(cid));
         assert_eq!(st.tibs[special.index()].imt, st.tibs[class_tib.index()].imt);
         assert_eq!(
             st.tibs[special.index()].kind,
@@ -1764,25 +1753,22 @@ mod tests {
     }
 
     #[test]
-    fn sync_special_skips_managed_slots() {
+    fn special_tib_sees_later_installs_until_specialized() {
         let (p, c, mid) = simple_program();
         let mut st = VmState::new(p, VmConfig::default());
         let special = st.create_special_tib(c, 0);
-        let cid = st.ensure_compiled(mid); // updates class TIB only
-        let vslot = st
-            .program
-            .class(c)
-            .vtable_slot(st.program.method(mid).selector)
-            .unwrap();
-        // Special still Lazy until synced.
+        let vslot = st.program.class(c).vtable_slot(st.program.method(mid).selector).unwrap();
         assert_eq!(st.tib_slot(special, vslot), CodeSlot::Lazy);
-        st.sync_special_from_class(c, special, &[]);
+        let cid = st.ensure_compiled(mid); // writes the class TIB only
         assert_eq!(st.tib_slot(special, vslot), CodeSlot::Code(cid));
-        // With the slot skipped, it would have stayed Lazy.
-        let special2 = st.create_special_tib(c, 1);
-        st.set_tib_slot(special2, vslot, CodeSlot::Lazy);
-        st.sync_special_from_class(c, special2, &[vslot]);
-        assert_eq!(st.tib_slot(special2, vslot), CodeSlot::Lazy);
+        let hot = st.recompile(mid, 2);
+        assert!(st.set_tib_slot(special, vslot, CodeSlot::Code(hot)));
+        assert!(!st.set_tib_slot(special, vslot, CodeSlot::Code(hot)), "unchanged: no write");
+        let later = st.recompile(mid, 1);
+        assert_eq!(st.tib_slot(special, vslot), CodeSlot::Code(hot));
+        assert!(st.set_tib_slot(special, vslot, CodeSlot::Lazy));
+        assert_eq!(st.tib_slot(special, vslot), CodeSlot::Code(later));
+        assert_eq!(st.stats.code_patches, 2);
     }
 
     #[test]
@@ -1806,6 +1792,7 @@ mod tests {
         let cid = st.ensure_compiled(mid);
         st.set_static_override(mid, Some(cid));
         assert_eq!(st.static_override[mid.index()], Some(cid));
+        st.set_static_override(mid, Some(cid));
         st.set_static_override(mid, None);
         assert_eq!(st.static_override[mid.index()], None);
         assert_eq!(st.stats.code_patches, 2);

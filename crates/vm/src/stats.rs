@@ -74,15 +74,19 @@ pub struct VmStats {
     pub special_tibs: u64,
     /// Object-TIB-pointer flips performed by the mutation engine.
     pub tib_flips: u64,
-    /// Code-pointer patches applied to TIBs/JTOC by the engine.
+    /// Code-pointer patches applied to TIBs/JTOC by the engine: writes that
+    /// changed a slot or override (a write of the value already there is
+    /// not made, so not counted).
     pub code_patches: u64,
-    /// Inline-cache hits at receiver-polymorphic call sites (host-side
-    /// fast path; no effect on modeled cycles).
+    /// Interface call sites whose IMT search was memoized for the
+    /// receiver's class (host-side; no effect on modeled cycles). Virtual,
+    /// static and special sites have no cache and count nothing.
     pub ic_hits: u64,
-    /// Inline-cache misses (empty, stale-generation or wrong-TIB entries).
+    /// Interface call sites that searched the IMT (empty, stale-generation
+    /// or other-class entries).
     pub ic_misses: u64,
-    /// Global inline-cache invalidations (generation bumps) caused by
-    /// code installs, TIB/JTOC patches and mutable-class marking.
+    /// Global interface-cache invalidations: the fault injector's IC bumps,
+    /// the one thing that empties the caches.
     pub ic_invalidations: u64,
     /// State guards executed in specialized code (passing or failing).
     pub guards_executed: u64,

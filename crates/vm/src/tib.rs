@@ -1,12 +1,13 @@
 //! Type Information Blocks (TIBs) and Interface Method Tables (IMTs).
 //!
 //! A TIB is the Jikes name for a virtual-function table plus type metadata.
-//! Every class gets one *class TIB* at startup; the mutation engine clones
-//! it into *special TIBs*, one per hot state of a mutable class, and swaps
-//! method entries between general and specialized compiled code (paper
-//! Sections 2–3). Type tests always consult the TIB's type-information
-//! entry — never TIB-pointer identity — so special TIBs are invisible to
-//! `instanceof`/`checkcast` (Sec. 3.2.3).
+//! Every class gets one *class TIB* at startup; the mutation engine adds
+//! *special TIBs*, one per hot state of a mutable class, and points their
+//! method entries at specialized compiled code (paper Sections 2–3). Every
+//! other special-TIB entry inherits the class TIB's, so general installs
+//! reach it with no copying. Type tests always consult the TIB's
+//! type-information entry — never TIB-pointer identity — so special TIBs are
+//! invisible to `instanceof`/`checkcast` (Sec. 3.2.3).
 //!
 //! Interface dispatch uses a fixed-size IMT hashed by selector. A class TIB
 //! and all its special TIBs share a single IMT: IMT entries resolve to a
@@ -147,9 +148,10 @@ pub struct Tib {
     pub class: ClassId,
     /// Class TIB or special TIB.
     pub kind: TibKind,
-    /// Method entries, indexed by vtable slot. Specials start as exact
-    /// copies of the class TIB (lazy compilation stays intact) and are
-    /// repointed at special compiled code by the mutation engine.
+    /// Method entries, indexed by vtable slot. A special TIB's entries start
+    /// as [`CodeSlot::Lazy`], read as *inherit the class TIB's entry*
+    /// ([`crate::VmState::tib_slot`]), and the mutation engine points some
+    /// of them at special compiled code.
     pub methods: Vec<CodeSlot>,
     /// Index of the shared IMT (one per class; specials share it).
     pub imt: u32,

@@ -208,7 +208,6 @@ fn interface_dispatch_through_special_tib_runs_special_code() {
     let job = vm.state.program.class_by_name("Job").unwrap();
     let vslot = vm.state.program.class(job).vtable_slot(sel_run).unwrap();
     let special = vm.state.create_special_tib(job, 0);
-    vm.state.sync_special_from_class(job, special, &[vslot]);
     vm.state.set_tib_slot(special, vslot, CodeSlot::Code(alt_cid));
     vm.state.set_object_tib(oref, special);
     assert_eq!(

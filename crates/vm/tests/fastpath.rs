@@ -1,6 +1,5 @@
-//! Tests for the interpreter fast path: inline-cache behaviour under
-//! mid-loop TIB mutation, and trap (not panic) semantics for `Unreachable`
-//! terminators.
+//! Tests for the interpreter fast path: dispatch under mid-loop TIB
+//! mutation, and trap (not panic) semantics for `Unreachable` terminators.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -34,11 +33,11 @@ impl MutationHandler for TibFlipper {
 }
 
 #[test]
-fn tib_flip_mid_loop_redispatches_cached_call_site() {
+fn tib_flip_mid_loop_redispatches_call_site() {
     // One virtual call site (inside `phase`) is executed under three TIB
-    // regimes: class TIB, special TIB, class TIB again. The monomorphic
-    // inline cache must hit within a regime and naturally miss (re-dispatch
-    // through the new TIB) right after each flip — no explicit invalidation.
+    // regimes: class TIB, special TIB, class TIB again. Every call reads
+    // the receiver's current TIB, so each one runs the code its regime
+    // names — no invalidation anywhere.
     let mut pb = ProgramBuilder::new();
     let c = pb.class("C").build();
     let s = pb.instance_field(c, "s", Ty::Int);
@@ -47,7 +46,7 @@ fn tib_flip_mid_loop_redispatches_cached_call_site() {
     let mut m = pb.method(c, "get", MethodSig::new(vec![], Some(Ty::Int)));
     let r = m.imm(1);
     m.ret(Some(r));
-    m.build();
+    let get = m.build();
     // hotget() -> 2: stands in for the state-specialized version.
     let mut m = pb.method(c, "hotget", MethodSig::new(vec![], Some(Ty::Int)));
     let r = m.imm(2);
@@ -59,8 +58,9 @@ fn tib_flip_mid_loop_redispatches_cached_call_site() {
     let v = m.param(0);
     m.put_field(this, s, v);
     m.ret(None);
-    m.build();
-    // phase(o, v, n): o.set(v), then n calls of o.get() through ONE site.
+    let set = m.build();
+    // phase(o, v, n): o.set(v), then n calls of o.get() through ONE site,
+    // each result printed.
     let mut m = pb.static_method(
         c,
         "phase",
@@ -80,6 +80,7 @@ fn tib_flip_mid_loop_redispatches_cached_call_site() {
     m.bind(head);
     m.br_icmp(CmpOp::Ge, i, n, done);
     m.call_virtual(Some(t), o, "get", vec![]);
+    m.print_int(t);
     m.iadd(acc, acc, t);
     m.iadd_imm(i, i, 1);
     m.jmp(head);
@@ -105,11 +106,16 @@ fn tib_flip_mid_loop_redispatches_cached_call_site() {
     vm.state.add_handle(oref);
 
     // Special TIB for C's hot state: get's slot points at hotget's code.
+    // Such a graft breaks `VmState::check_dispatch`'s rule that a slot holds
+    // code of its own method, so everything is compiled first: no install
+    // (and no check) follows it.
+    for m in [phase, set, get] {
+        vm.state.ensure_compiled(m);
+    }
     let hot_cid = vm.state.ensure_compiled(hotget);
     let sel_get = vm.state.program.selector("get").unwrap();
     let vslot = vm.state.program.class(c).vtable_slot(sel_get).unwrap();
     let special = vm.state.create_special_tib(c, 0);
-    vm.state.sync_special_from_class(c, special, &[vslot]);
     vm.state.set_tib_slot(special, vslot, CodeSlot::Code(hot_cid));
     *flipper.0.borrow_mut() = Some((vm.state.class_tib(c), special));
 
@@ -132,12 +138,10 @@ fn tib_flip_mid_loop_redispatches_cached_call_site() {
         Some(Value::Int(5))
     );
 
-    let stats = vm.stats();
-    assert_eq!(stats.tib_flips, 3, "one flip per phase's set()");
-    // Within a phase the get-site hits; across flips it must miss and
-    // re-dispatch. 15 get() calls, at least one miss per regime change.
-    assert!(stats.ic_hits >= 10, "ic_hits = {}", stats.ic_hits);
-    assert!(stats.ic_misses >= 3, "ic_misses = {}", stats.ic_misses);
+    assert_eq!(vm.stats().tib_flips, 3, "one flip per phase's set()");
+    // What each of the 15 get() calls ran, in order.
+    let ran: Vec<&str> = vm.state.output.text.lines().collect();
+    assert_eq!(ran, [["1"; 5], ["2"; 5], ["1"; 5]].concat());
 }
 
 #[test]

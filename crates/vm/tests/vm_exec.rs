@@ -507,7 +507,6 @@ fn checkcast_transparent_to_special_tibs() {
     vm.state.add_handle(oref);
     // Create and install a special TIB for B.
     let special = vm.state.create_special_tib(b, 0);
-    vm.state.sync_special_from_class(b, special, &[]);
     vm.state.set_object_tib(oref, special);
     let r = vm.call_static(test, &[obj]).unwrap();
     assert_eq!(r, Some(Value::Int(1)));
@@ -556,7 +555,6 @@ fn dispatch_through_special_tib_runs_patched_code() {
     let sel_v = vm.state.program.selector("v").unwrap();
     let vslot = vm.state.program.class(c).vtable_slot(sel_v).unwrap();
     let special = vm.state.create_special_tib(c, 0);
-    vm.state.sync_special_from_class(c, special, &[vslot]);
     vm.state
         .set_tib_slot(special, vslot, dchm_vm::CodeSlot::Code(w_cid));
     vm.state.set_object_tib(oref, special);

@@ -9,10 +9,11 @@ use dchm::bytecode::{
     ClassId, CmpOp, FieldId, MethodId, MethodSig, Program, ProgramBuilder, Ty, Value,
 };
 use dchm::core::{HotState, MutableClass, MutationEngine, MutationPlan, OlcReport};
-use dchm::vm::{FaultConfig, FaultInjector, MutationHandler, Vm, VmConfig};
+use dchm::vm::{FaultConfig, FaultInjector, MutationHandler, TibId, Vm, VmConfig, VmState};
 use dchm_testutil::{attach_plan, storm_config, storm_salarydb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 /// Counts this thread's heap allocations (the harness runs tests on
 /// parallel threads, so a process-wide count would pick up the neighbours).
@@ -48,8 +49,8 @@ fn allocations() -> u64 {
 }
 
 /// What a delivery can move in the model: checksum, clock, ops, TIB flips,
-/// IC invalidations (one per slot write), deopts, throttle episodes.
-type Row = [u64; 7];
+/// deopts, throttle episodes.
+type Row = [u64; 6];
 
 fn row(vm: &Vm) -> Row {
     let s = vm.stats();
@@ -58,7 +59,6 @@ fn row(vm: &Vm) -> Row {
         vm.cycles(),
         s.ops_executed,
         s.tib_flips,
-        s.ic_invalidations,
         s.deopts,
         s.specials_throttled,
     ]
@@ -80,42 +80,41 @@ fn storm(governed: bool) -> Vm {
     vm
 }
 
-const STORM_GOVERNED: Row = [11186941474388312064, 268935, 19185, 152, 79, 64, 8];
-const STORM_UNGOVERNED: Row = [11186941474388312064, 561967, 56817, 1944, 76, 960, 0];
+const STORM_GOVERNED: Row = [11186941474388312064, 268935, 19185, 152, 64, 8];
+const STORM_UNGOVERNED: Row = [11186941474388312064, 561967, 56817, 1944, 960, 0];
 
-/// (d) The first throttle ends the resync's quiet exit; from there the
-/// governed storm writes exactly the slots it wrote before (each write is
-/// one IC invalidation, and the pinned row has them all).
+/// (d) The first throttle pins a special, which opens the flip-in re-sync;
+/// from there the governed storm dispatches exactly where it did before.
 #[test]
 fn storm_counts_are_those_of_the_parent() {
     let on = storm(true);
     assert_eq!(row(&on), STORM_GOVERNED);
-    assert!(on.stats().specials_throttled > 0 && !on.state.flip_in_quiet());
+    assert!(on.stats().specials_throttled > 0 && on.state.has_pinned());
 
     let off = storm(false);
     assert_eq!(row(&off), STORM_UNGOVERNED);
-    assert!(off.state.flip_in_quiet());
+    assert!(!off.state.has_pinned());
 }
 
 /// Generated programs 0..16 under the fuzzer's synthesis settings, adaptive
 /// cadence so specials are regenerated as methods climb the tiers.
 const GENERATED: [Row; 16] = [
-    [1601311518093452335, 208653, 6498, 307, 1215, 0, 0],
-    [8629021445064854120, 284535, 12356, 959, 348, 16, 2],
-    [17009820724622465118, 123572, 1868, 223, 137, 16, 2],
-    [1605691315576273256, 54540, 2579, 297, 36, 8, 1],
-    [13705636952842889668, 66638, 2357, 2, 183, 0, 0],
-    [17393248233198596066, 315498, 5670, 297, 432, 16, 2],
-    [3119168956414708376, 118444, 8378, 1100, 628, 8, 1],
-    [8187858166241111852, 57341, 1994, 1, 72, 0, 0],
-    [3348443299920991375, 221191, 20914, 3534, 224, 0, 0],
-    [6427929810600744139, 67195, 1679, 108, 140, 0, 0],
-    [16954045814596402501, 123492, 7650, 723, 203, 0, 0],
-    [6492228878874986230, 169764, 16149, 1515, 57, 0, 0],
-    [281905338501784224, 158638, 13190, 1497, 55, 16, 2],
-    [8639946935219929319, 373041, 22506, 3065, 293, 0, 0],
-    [7757675646042580205, 310652, 4042, 477, 259, 16, 2],
-    [1383617198288758957, 297070, 5697, 765, 388, 32, 4],
+    [1601311518093452335, 208653, 6498, 307, 0, 0],
+    [8629021445064854120, 284535, 12356, 959, 16, 2],
+    [17009820724622465118, 123572, 1868, 223, 16, 2],
+    [1605691315576273256, 54540, 2579, 297, 8, 1],
+    [13705636952842889668, 66638, 2357, 2, 0, 0],
+    [17393248233198596066, 315498, 5670, 297, 16, 2],
+    [3119168956414708376, 118444, 8378, 1100, 8, 1],
+    [8187858166241111852, 57341, 1994, 1, 0, 0],
+    [3348443299920991375, 221191, 20914, 3534, 0, 0],
+    [6427929810600744139, 67195, 1679, 108, 0, 0],
+    [16954045814596402501, 123492, 7650, 723, 0, 0],
+    [6492228878874986230, 169764, 16149, 1515, 0, 0],
+    [281905338501784224, 158638, 13190, 1497, 16, 2],
+    [8639946935219929319, 373041, 22506, 3065, 0, 0],
+    [7757675646042580205, 310652, 4042, 477, 16, 2],
+    [1383617198288758957, 297070, 5697, 765, 32, 4],
 ];
 
 #[test]
@@ -318,16 +317,60 @@ fn deliveries_for_other_classes_change_nothing() {
     assert_eq!(*vm.stats(), before);
 }
 
+/// The engine, checking at every delivery that follows a silent recompile
+/// that each slot of the special TIB dispatches where the class TIB's does.
+struct SlotsFollow {
+    engine: MutationEngine,
+    class_tib: TibId,
+    special: TibId,
+    slots: u32,
+    /// Silent recompiles seen so far; checks made.
+    seen: u64,
+    checks: Rc<Cell<u64>>,
+}
+
+impl SlotsFollow {
+    fn check(&mut self, vm: &VmState) {
+        let recompiles = vm.injector.as_ref().map_or(0, |i| i.recompiles);
+        if recompiles == self.seen {
+            return;
+        }
+        self.seen = recompiles;
+        for v in 0..self.slots {
+            assert_eq!(vm.tib_slot(self.special, v), vm.tib_slot(self.class_tib, v), "slot {v}");
+        }
+        self.checks.set(self.checks.get() + 1);
+    }
+}
+
+impl MutationHandler for SlotsFollow {
+    fn on_instance_store(&mut self, vm: &mut VmState, obj: ObjRef, class: ClassId, field: FieldId) {
+        self.engine.on_instance_store(vm, obj, class, field);
+        self.check(vm);
+    }
+    fn on_static_store(&mut self, vm: &mut VmState, field: FieldId) {
+        self.engine.on_static_store(vm, field);
+        self.check(vm);
+    }
+    fn on_ctor_exit(&mut self, vm: &mut VmState, obj: ObjRef, class: ClassId) {
+        self.engine.on_ctor_exit(vm, obj, class);
+        self.check(vm);
+    }
+    fn on_recompiled(&mut self, vm: &mut VmState, method: MethodId, level: u8) {
+        self.engine.on_recompiled(vm, method, level);
+        self.check(vm);
+    }
+}
+
 /// The one general install that reaches no handler is the fault injector's
 /// silent recompile: with the code cache off it puts a new code id into the
-/// class TIB, and the next flip-in's re-sync is what copies it into the
-/// special TIB. `make` allocates (the injector draws at allocation points),
-/// is mutable, and has no special yet (the plan specializes at level 2, the
-/// run stays at level 0), so its slot falls back to the class TIB's. Slot
-/// writes and invalidations are the parent's: the first such recompile
-/// ends the quiet exit.
+/// class TIB. `make` allocates (the injector draws at allocation points),
+/// is mutable, and has no special (the plan specializes at level 2, the
+/// run stays at level 0), so every slot of the special TIB inherits, and
+/// the new code reaches it with no re-sync. Checksum, clock and ops are the
+/// parent's, which copied the code id at the next flip-in instead.
 #[test]
-fn a_silent_recompile_ends_the_quiet_exit() {
+fn silent_recompiles_reach_special_tibs_by_inheritance() {
     let mut pb = ProgramBuilder::new();
     let c = pb.class("C").build();
     let st = pb.instance_field(c, "st", Ty::Int);
@@ -377,25 +420,38 @@ fn a_silent_recompile_ends_the_quiet_exit() {
         k: 0,
         emit_guards: true,
     };
-    let counts: Vec<(u64, u64)> = (0..4)
+    let rows: Vec<(u64, u64, u64)> = (0..4)
         .map(|seed| {
             let config = VmConfig {
                 code_cache_capacity: 0,
                 sample_period: u64::MAX,
                 ..VmConfig::default()
             };
-            let mut vm = attach_plan(&p, plan.clone(), config);
+            let mut vm = Vm::new(p.clone(), config);
+            let mut engine = MutationEngine::new(plan.clone(), OlcReport::default());
+            engine.install(&mut vm.state);
+            let class_tib = vm.state.class_tib(c);
+            // Special TIBs are appended after the one TIB of every class.
+            let special = TibId(p.classes.len() as u32);
+            let slots = p.class(c).vtable.len() as u32;
+            let checks = Rc::new(Cell::new(0));
+            let handler =
+                SlotsFollow { engine, class_tib, special, slots, seen: 0, checks: checks.clone() };
+            vm.set_handler(Box::new(handler));
             vm.state.injector = Some(FaultInjector::new(FaultConfig {
                 period: 1,
                 ..FaultConfig::transparent(seed)
             }));
             vm.run_entry().expect("runs");
-            assert!(!vm.state.flip_in_quiet());
-            (vm.stats().code_patches, vm.stats().ic_invalidations)
+            assert!(checks.get() > 0, "seed {seed}: no silent recompile was checked");
+            assert!(vm.stats().tib_flips > 0);
+            (vm.state.output.checksum, vm.cycles(), vm.stats().ops_executed)
         })
         .collect();
-    assert_eq!(counts, [(16, 54), (21, 62), (23, 62), (18, 58)]);
+    assert_eq!(rows, SILENT_RECOMPILE_ROWS);
 }
+
+const SILENT_RECOMPILE_ROWS: [(u64, u64, u64); 4] = [(0, 11382, 760); 4];
 
 /// Not a check: prints the host cost of one delivery, fastest of five
 /// batches. `cargo test --release --test patch_points -- --ignored
