@@ -200,10 +200,11 @@ impl Function {
     /// Hashes the `Debug` rendering: every op payload is an ordered struct
     /// or `Vec` (no hash maps), and `Debug` of `f64` is total and
     /// deterministic (including NaN), so equal functions always fingerprint
-    /// equal and the value is stable across runs on the same build. Used by
-    /// the lift cache for hash-consing and by the VM's compiled-code cache
-    /// for key derivation; structural equality is still confirmed with
-    /// `PartialEq` before two functions are actually shared.
+    /// equal and the value is stable across runs on the same build. Its one
+    /// user is [`crate::LiftCache`]'s hash-consing, which still confirms
+    /// structural equality with `PartialEq` before two functions are
+    /// shared. (The VM's compiled-code cache keys on the request — method,
+    /// level, binding fingerprint — not on any function.)
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let text = format!("{self:?}");

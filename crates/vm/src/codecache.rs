@@ -1,4 +1,9 @@
-//! The state-keyed compiled-code cache.
+//! The compiled-code caches: the per-VM, state-keyed [`CodeCache`] and the
+//! fleet-wide [`SharedCodeCache`] of finished artifacts. A compile request
+//! that passes the governor/injector gate probes them in that order, then
+//! runs the pipeline on the VM's memoized baseline lift
+//! ([`dchm_ir::LiftCache`]), and ends in one store-and-bill tail
+//! (`VmState::compile_admitted`).
 //!
 //! Compilation is deterministic: the same `(method, level, canonicalized
 //! state-binding)` request against the same compiler environment (patch
@@ -281,8 +286,6 @@ pub struct SharedCacheStats {
     pub evictions: u64,
     /// Artifacts currently mapped.
     pub entries: usize,
-    /// Baseline lifts currently mapped.
-    pub baselines: usize,
 }
 
 #[derive(Debug)]
@@ -290,12 +293,6 @@ struct SharedEntry {
     artifact: SharedArtifact,
     /// Logical access tick; atomic so probes only need the read lock.
     last_used: std::sync::atomic::AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct SharedMaps {
-    artifacts: HashMap<(u64, u32, u8, u64), SharedEntry>,
-    baselines: HashMap<(u64, u32), std::sync::Arc<dchm_ir::Function>>,
 }
 
 /// The fleet-wide, read-mostly compile-artifact cache shared by every shard.
@@ -310,13 +307,16 @@ struct SharedMaps {
 /// Concurrency: probes take only a read lock (the LRU tick per entry is an
 /// atomic), publishes take the write lock. Under racing publishers for one
 /// key the first insert wins and later ones are dropped — harmless, both
-/// racers hold bit-identical artifacts. All counters are host-side only;
+/// racers hold bit-identical artifacts. Only finished artifacts are
+/// shared: each tenant lifts its own baselines, because a shared lift only
+/// ever saved the loser of such a race one lift of a few µs while it still
+/// ran the whole pipeline. All counters are host-side only;
 /// nothing here touches a modeled observable, a [`crate::stats::VmStats`]
 /// field, or a trace ring, which is what keeps every shard's run
 /// bit-identical to its solo twin.
 #[derive(Debug)]
 pub struct SharedCodeCache {
-    maps: std::sync::RwLock<SharedMaps>,
+    artifacts: std::sync::RwLock<HashMap<(u64, u32, u8, u64), SharedEntry>>,
     capacity: usize,
     tick: std::sync::atomic::AtomicU64,
     hits: std::sync::atomic::AtomicU64,
@@ -326,11 +326,10 @@ pub struct SharedCodeCache {
 }
 
 impl SharedCodeCache {
-    /// A cache holding at most `capacity` artifacts (0 disables it; the
-    /// baseline-lift map is unbounded — one small entry per method).
+    /// A cache holding at most `capacity` artifacts (0 disables it).
     pub fn new(capacity: usize) -> Self {
         SharedCodeCache {
-            maps: std::sync::RwLock::default(),
+            artifacts: std::sync::RwLock::default(),
             capacity,
             tick: Default::default(),
             hits: Default::default(),
@@ -355,8 +354,8 @@ impl SharedCodeCache {
         if self.capacity == 0 {
             return None;
         }
-        let maps = self.maps.read().expect("shared cache poisoned");
-        match maps.artifacts.get(&(scope, method, level, binding_fp)) {
+        let artifacts = self.artifacts.read().expect("shared cache poisoned");
+        match artifacts.get(&(scope, method, level, binding_fp)) {
             Some(e) => {
                 e.last_used
                     .store(self.tick.fetch_add(1, Relaxed) + 1, Relaxed);
@@ -379,23 +378,22 @@ impl SharedCodeCache {
         if self.capacity == 0 {
             return;
         }
-        let mut maps = self.maps.write().expect("shared cache poisoned");
+        let mut artifacts = self.artifacts.write().expect("shared cache poisoned");
         let key = (scope, method, level, binding_fp);
-        if maps.artifacts.contains_key(&key) {
+        if artifacts.contains_key(&key) {
             return;
         }
-        if maps.artifacts.len() >= self.capacity {
-            let victim = maps
-                .artifacts
+        if artifacts.len() >= self.capacity {
+            let victim = artifacts
                 .iter()
                 .min_by_key(|(k, e)| (e.last_used.load(Relaxed), **k))
                 .map(|(k, _)| *k);
             if let Some(v) = victim {
-                maps.artifacts.remove(&v);
+                artifacts.remove(&v);
                 self.evictions.fetch_add(1, Relaxed);
             }
         }
-        maps.artifacts.insert(
+        artifacts.insert(
             key,
             SharedEntry {
                 artifact,
@@ -405,32 +403,15 @@ impl SharedCodeCache {
         self.inserts.fetch_add(1, Relaxed);
     }
 
-    /// Looks up the shared baseline lift for `method` (uncounted: baseline
-    /// adoption is already tracked by each tenant's `LiftCache` counters).
-    pub fn baseline(&self, scope: u64, method: u32) -> Option<std::sync::Arc<dchm_ir::Function>> {
-        let maps = self.maps.read().expect("shared cache poisoned");
-        maps.baselines
-            .get(&(scope, method))
-            .map(std::sync::Arc::clone)
-    }
-
-    /// Publishes a baseline lift (first publisher wins).
-    pub fn publish_baseline(&self, scope: u64, method: u32, func: std::sync::Arc<dchm_ir::Function>) {
-        let mut maps = self.maps.write().expect("shared cache poisoned");
-        maps.baselines.entry((scope, method)).or_insert(func);
-    }
-
     /// Snapshot of the host-side counters and sizes.
     pub fn stats(&self) -> SharedCacheStats {
         use std::sync::atomic::Ordering::Relaxed;
-        let maps = self.maps.read().expect("shared cache poisoned");
         SharedCacheStats {
             hits: self.hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
             inserts: self.inserts.load(Relaxed),
             evictions: self.evictions.load(Relaxed),
-            entries: maps.artifacts.len(),
-            baselines: maps.baselines.len(),
+            entries: self.artifacts.read().expect("shared cache poisoned").len(),
         }
     }
 }
@@ -628,26 +609,5 @@ mod tests {
         assert!(c.probe(1, 2, 0, 9).is_none());
         let s = c.stats();
         assert_eq!((s.inserts, s.entries, s.hits, s.misses), (0, 0, 0, 0));
-    }
-
-    #[test]
-    fn shared_baselines_first_publisher_wins() {
-        let c = SharedCodeCache::new(4);
-        assert!(c.baseline(1, 5).is_none());
-        let f = Arc::new(dchm_ir::Function {
-            blocks: vec![],
-            num_regs: 3,
-            arg_count: 1,
-        });
-        c.publish_baseline(1, 5, Arc::clone(&f));
-        let g = Arc::new(dchm_ir::Function {
-            blocks: vec![],
-            num_regs: 9,
-            arg_count: 1,
-        });
-        c.publish_baseline(1, 5, g);
-        assert!(Arc::ptr_eq(&c.baseline(1, 5).unwrap(), &f));
-        assert!(c.baseline(2, 5).is_none());
-        assert_eq!(c.stats().baselines, 1);
     }
 }

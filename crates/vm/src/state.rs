@@ -344,8 +344,10 @@ pub struct VmState {
     /// determinism contract).
     pub code_cache: CodeCache,
     /// Memoized baseline lifts: one lift + instrumentation per method,
-    /// shared by the general version and every state specialization, and
-    /// hash-consed across structurally identical methods.
+    /// shared by the general version and every state specialization (the
+    /// paper's one front end, Sec. 3.2.2), and hash-consed across
+    /// structurally identical methods. Per VM: a fleet shares finished
+    /// artifacts through [`SharedCodeCache`], never lifts.
     pub lift_cache: LiftCache,
     /// Host wall-clock nanoseconds spent inside the compiler pipeline.
     /// *Not* modeled time — benchmarks read it to measure what the code
@@ -353,9 +355,9 @@ pub struct VmState {
     /// request of a run was answered by a cache.
     pub compile_wall_nanos: u64,
     /// Fleet-wide shared artifact cache; `None` outside a fleet. Probed by
-    /// every compile path after the local [`CodeCache`], purely host-side:
-    /// a hit skips the compiler pipeline but bills, installs and traces
-    /// exactly as a local compile would.
+    /// every compile request after the local [`CodeCache`] misses, purely
+    /// host-side: a hit skips the lift and the pipeline but bills, installs
+    /// and traces exactly as a local compile would.
     shared_cache: Option<Arc<SharedCodeCache>>,
     /// [`program_fingerprint`] of the program, handed over when a shared
     /// cache is attached; folded with the compiler-environment fingerprint
@@ -560,40 +562,21 @@ impl VmState {
     }
 
     /// Compiles general code for `mid` at `level`, installs it into the
-    /// JTOC/class TIBs and subclass TIBs, and queues the recompilation
-    /// event for the mutation handler. A compile failure (injected or
-    /// quarantined) is not fatal: the method tiers down — see
-    /// [`Self::tier_down`].
+    /// JTOC/class TIBs and subclass TIBs, updates the profile, queues the
+    /// recompilation event for the mutation handler and trace-stamps it. A
+    /// compile failure (injected or quarantined) is not fatal: the method
+    /// keeps its current general code when it has one (a failed
+    /// *promotion* changes nothing), else it tiers down to the
+    /// always-succeeding level-0 baseline so it has code at all.
     pub fn recompile(&mut self, mid: MethodId, level: u8) -> CompiledId {
-        match self.compile_internal(mid, level, None) {
-            Some(cid) => {
-                self.finish_recompile(mid, level, cid);
-                cid
-            }
-            None => self.tier_down(mid),
-        }
-    }
-
-    /// Fallback after a failed general compile: keep running the current
-    /// general code when one exists (a failed *promotion* changes nothing),
-    /// else compile the always-succeeding level-0 baseline so the method
-    /// has code at all.
-    fn tier_down(&mut self, mid: MethodId) -> CompiledId {
-        if let Some(cur) = self.general_code[mid.index()] {
-            return cur;
-        }
-        let cid = self
-            .compile_internal(mid, 0, None)
-            .expect("level-0 compiles never fail");
-        self.finish_recompile(mid, 0, cid);
-        cid
-    }
-
-    /// The install/bookkeeping tail of [`Self::recompile`]: JTOC/TIB
-    /// install, profile update, recompilation event, trace stamp. Shared
-    /// with [`Self::tier_down`]'s baseline install.
-    fn finish_recompile(&mut self, mid: MethodId, level: u8, cid: CompiledId) {
-        self.install_general(mid, cid);
+        let (level, cid) = match self.compile_internal(mid, level, None) {
+            Some(cid) => (level, cid),
+            None => match self.general_code[mid.index()] {
+                Some(cur) => return cur,
+                None => (0, self.compile_admitted(mid, 0, None, false)),
+            },
+        };
+        self.install_general(mid, cid, None);
         let p = &mut self.stats.per_method[mid.index()];
         if p.level.is_some() {
             p.recompiles += 1;
@@ -612,6 +595,7 @@ impl VmState {
                 },
             );
         }
+        cid
     }
 
     /// Compiles a *special* (state-specialized) version of `mid` at `level`
@@ -628,20 +612,17 @@ impl VmState {
         self.compile_internal(mid, level, Some(bindings))
     }
 
-    /// True when `(method, level)` is fallible at all: level-0 baseline
-    /// compiles are exempt from injection and quarantine so a tier-down
-    /// target always exists.
-    fn compile_fallible(level: u8, special: bool) -> bool {
-        level >= 1 || special
-    }
-
+    /// The gate in front of [`Self::compile_admitted`]: the governor's
+    /// quarantine, then the injector's failure draw. Level-0 general
+    /// compiles are exempt from both, so a tier-down target always exists;
+    /// their callers go to `compile_admitted` directly.
     fn compile_internal(
         &mut self,
         mid: MethodId,
         level: u8,
         bindings: Option<&Bindings>,
     ) -> Option<CompiledId> {
-        if Self::compile_fallible(level, bindings.is_some()) {
+        if level >= 1 || bindings.is_some() {
             if !self.compile_allowed(mid, level) {
                 return None;
             }
@@ -656,15 +637,15 @@ impl VmState {
         Some(self.compile_admitted(mid, level, bindings, false))
     }
 
-    /// The one sequence every admitted request runs: probe the code cache
-    /// (a hit re-bills and replays, see [`Self::replay_cached`]), else
-    /// produce the artifact, bill, store and trace-stamp it, and record it
-    /// in the cache. `silent` is the injected-recompile path: same probe,
-    /// same store, same cache insert, but no counter, no bill and no trace
-    /// — a cached version is what the deterministic compiler would
-    /// reproduce bit for bit, so cache entries only ever change *which*
-    /// host work later requests skip, never what they bill, and injected
-    /// faults stay cycle-transparent.
+    /// The one path every admitted request runs: probe the code cache, else
+    /// produce the artifact (shared cache, then the compiler), store it and
+    /// record it in the cache; then count, bill and trace-stamp the request
+    /// — a hit bills the stored cycles, which is exactly what the
+    /// deterministic compiler would bill again. `silent` is the injected
+    /// recompile: same probe, same store, same cache insert, but no
+    /// counter, no bill and no trace, so cache entries only ever change
+    /// *which* host work later requests skip, never what they bill, and
+    /// injected faults stay cycle-transparent.
     fn compile_admitted(
         &mut self,
         mid: MethodId,
@@ -675,33 +656,59 @@ impl VmState {
         let special = bindings.is_some();
         let env_fp = compiler::CompileEnv::of(self).fingerprint();
         let binding_fp = binding_fingerprint(bindings);
-        match self.code_cache.probe(mid.0, level, binding_fp, env_fp) {
-            Probe::Hit {
-                cid,
-                compile_cycles,
-            } => {
-                if !silent {
-                    self.stats.code_cache_hits += 1;
-                    self.replay_cached(mid, level, special, cid, compile_cycles);
-                }
-                return cid;
+        let probe = self.code_cache.probe(mid.0, level, binding_fp, env_fp);
+        let (cid, cost, evicted) = match probe {
+            Probe::Hit { cid, compile_cycles } => (cid, compile_cycles, None),
+            Probe::Miss { .. } | Probe::Disabled => {
+                let a = self.produce_artifact(mid, level, bindings, binding_fp, env_fp);
+                let cost = a.compile_cycles;
+                let cid = self.push_artifact(mid, level, special, binding_fp, a);
+                let evicted = self.code_cache.insert(mid.0, level, binding_fp, env_fp, cid, cost);
+                (cid, cost, evicted)
             }
-            Probe::Miss { invalidated } if !silent => {
-                if invalidated {
-                    self.stats.code_cache_invalidations += 1;
-                }
+        };
+        if silent {
+            return cid;
+        }
+        match probe {
+            Probe::Hit { .. } => self.stats.code_cache_hits += 1,
+            Probe::Miss { invalidated } => {
+                self.stats.code_cache_invalidations += u64::from(invalidated);
                 self.stats.code_cache_misses += 1;
             }
-            _ => {}
+            Probe::Disabled => {}
         }
-        let a = self.produce_artifact(mid, level, bindings, binding_fp, env_fp);
-        let cost = a.compile_cycles;
-        let cid = if silent {
-            self.push_artifact(mid, level, special, binding_fp, a)
+        let size = self.compiled(cid).size_bytes;
+        self.clock += cost;
+        self.stats.compile_cycles += cost;
+        if special {
+            self.stats.special_compile_cycles += cost;
+            self.stats.special_compiles += 1;
+            self.stats.special_code_bytes += size as u64;
         } else {
-            self.install_artifact(mid, level, special, binding_fp, a)
-        };
-        self.cache_insert((mid.0, level, binding_fp), env_fp, cid, cost, silent);
+            let l = level.min(2) as usize;
+            self.stats.compiles_by_level[l] += 1;
+            self.stats.code_bytes_by_level[l] += size as u64;
+        }
+        if self.tracer.on() {
+            let (method, code, level) = (mid.0, cid.0, level as u32);
+            if let Probe::Hit { .. } = probe {
+                let hit = TraceEvent::CodeCacheHit { method, code, level, special };
+                self.tracer.emit(self.clock, hit);
+            }
+            if special {
+                let size_bytes = size as u32;
+                let compile = TraceEvent::SpecialCompile { method, code, level, size_bytes };
+                self.tracer.emit(self.clock, compile);
+            }
+        }
+        if let Some(ev) = evicted {
+            self.stats.code_cache_evictions += 1;
+            if self.tracer.on() {
+                let (method, code, level) = (ev.method, ev.cid.0, ev.level as u32);
+                self.tracer.emit(self.clock, TraceEvent::CodeCacheEvict { method, code, level });
+            }
+        }
         cid
     }
 
@@ -742,27 +749,14 @@ impl VmState {
             .compile_allowed(&self.config.governor, mid.0, level, self.clock)
     }
 
-    /// Runs the compiler pipeline for one request, sharing the memoized
-    /// baseline lift. Pure host work: bills nothing, installs nothing.
-    fn run_compiler(
-        &mut self,
-        mid: MethodId,
-        level: u8,
-        bindings: Option<&Bindings>,
-        env_fp: u64,
-    ) -> compiler::CompileOutcome {
-        let baseline = self.baseline_for(mid, env_fp);
-        let env = compiler::CompileEnv::of(self);
-        compiler::compile_in(&env, &baseline, mid, level, bindings)
-    }
-
     /// Produces the artifact for one compile request: probes the fleet's
     /// shared cache when one is attached (compilation is deterministic, so
     /// the artifact another tenant published is bit for bit what this
-    /// compiler would produce), otherwise runs the pipeline and publishes
-    /// the result for the other tenants. Only the pipeline itself is
-    /// wall-timed: a request answered by the shared cache adds exactly zero
-    /// to [`Self::compile_wall_nanos`]. Pure host work — bills nothing,
+    /// compiler would produce), otherwise runs the pipeline on the memoized
+    /// baseline lift and publishes the result for the other tenants. Only
+    /// the pipeline, lift memo included, is wall-timed: a request answered
+    /// by the shared cache adds exactly zero to
+    /// [`Self::compile_wall_nanos`]. Pure host work — bills nothing,
     /// installs nothing, touches no modeled observable.
     fn produce_artifact(
         &mut self,
@@ -781,7 +775,9 @@ impl VmState {
             self.shared_misses += 1;
         }
         let t0 = Instant::now();
-        let outcome = self.run_compiler(mid, level, bindings, env_fp);
+        let baseline = self.baseline_for(mid, env_fp);
+        let env = compiler::CompileEnv::of(self);
+        let outcome = compiler::compile_in(&env, &baseline, mid, level, bindings);
         self.compile_wall_nanos += t0.elapsed().as_nanos() as u64;
         // Lowering stays outside the wall timer, exactly as the pre-fleet
         // `push_code` derived its metadata after the timed pipeline returned.
@@ -798,13 +794,11 @@ impl VmState {
         a
     }
 
-    /// The memoized baseline (lifted + instrumented) IR of `mid`, computed
-    /// at most once per method and compiler environment. With a shared
-    /// cache attached the lift itself is fetched from (or published to) the
-    /// fleet's baseline map, and the local `LiftCache` still hash-conses
-    /// whatever comes back.
+    /// The memoized baseline (lifted + instrumented) IR of `mid` from this
+    /// VM's [`LiftCache`]: lifted at most once per method and compiler
+    /// environment, whether the request is general or special. Fleet
+    /// tenants share finished artifacts, not lifts.
     fn baseline_for(&mut self, mid: MethodId, env_fp: u64) -> Arc<Function> {
-        let scope = SharedCodeCache::scope_of(self.program_fp, env_fp);
         // Split borrows: the lift cache is mutated while the compile
         // environment borrows the rest of the state.
         let VmState {
@@ -814,7 +808,6 @@ impl VmState {
             ref unique_impl,
             ref config,
             ref mut lift_cache,
-            ref shared_cache,
             ..
         } = *self;
         let env = compiler::CompileEnv {
@@ -826,33 +819,7 @@ impl VmState {
             max_inline_size: config.max_inline_size,
             max_inline_depth: config.max_inline_depth,
         };
-        match shared_cache {
-            Some(sc) => lift_cache.get_or_adopt(mid.0, env_fp, || match sc.baseline(scope, mid.0) {
-                Some(f) => f,
-                None => {
-                    let f = Arc::new(compiler::lift_baseline(&env, mid));
-                    sc.publish_baseline(scope, mid.0, Arc::clone(&f));
-                    f
-                }
-            }),
-            None => lift_cache.get_or_lift(mid.0, env_fp, || compiler::lift_baseline(&env, mid)),
-        }
-    }
-
-    /// Bills one compilation: modeled clock plus the compile statistics,
-    /// in exactly the order the pre-cache compiler used.
-    fn bill_compile(&mut self, special: bool, level: u8, size: usize, cost: u64) {
-        self.clock += cost;
-        self.stats.compile_cycles += cost;
-        if special {
-            self.stats.special_compile_cycles += cost;
-            self.stats.special_compiles += 1;
-            self.stats.special_code_bytes += size as u64;
-        } else {
-            let l = level.min(2) as usize;
-            self.stats.compiles_by_level[l] += 1;
-            self.stats.code_bytes_by_level[l] += size as u64;
-        }
+        lift_cache.get_or_lift(mid.0, env_fp, || compiler::lift_baseline(&env, mid))
     }
 
     /// Appends a compiled artifact (and its interface-cache row) to the
@@ -885,105 +852,6 @@ impl VmState {
         cid
     }
 
-    /// Bills, stores and trace-stamps a produced artifact — the cache-miss
-    /// tail of [`Self::compile_internal`].
-    fn install_artifact(
-        &mut self,
-        mid: MethodId,
-        level: u8,
-        special: bool,
-        binding_fp: u64,
-        a: SharedArtifact,
-    ) -> CompiledId {
-        let size = a.size_bytes;
-        let cost = a.compile_cycles;
-        self.bill_compile(special, level, size, cost);
-        let cid = self.push_artifact(mid, level, special, binding_fp, a);
-        if special && self.tracer.on() {
-            self.tracer.emit(
-                self.clock,
-                TraceEvent::SpecialCompile {
-                    method: mid.0,
-                    code: cid.0,
-                    level: level as u32,
-                    size_bytes: size as u32,
-                },
-            );
-        }
-        cid
-    }
-
-    /// The cache-hit tail of [`Self::compile_internal`]: bills the stored
-    /// compile cycles (the compiler is deterministic, so this is exactly
-    /// what recompiling would bill) and replays the trace stamps a fresh
-    /// compile would emit, plus the `CodeCacheHit` marker. No new code is
-    /// stored — the cached [`CompiledId`] is reused.
-    fn replay_cached(
-        &mut self,
-        mid: MethodId,
-        level: u8,
-        special: bool,
-        cid: CompiledId,
-        cost: u64,
-    ) {
-        let size = self.compiled(cid).size_bytes;
-        self.bill_compile(special, level, size, cost);
-        if self.tracer.on() {
-            self.tracer.emit(
-                self.clock,
-                TraceEvent::CodeCacheHit {
-                    method: mid.0,
-                    code: cid.0,
-                    level: level as u32,
-                    special,
-                },
-            );
-            if special {
-                self.tracer.emit(
-                    self.clock,
-                    TraceEvent::SpecialCompile {
-                        method: mid.0,
-                        code: cid.0,
-                        level: level as u32,
-                        size_bytes: size as u32,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Records a compilation in the code cache; an eviction is counted and
-    /// trace-stamped unless the insert came from the silent (fault-injected)
-    /// path, which must not touch any statistic.
-    fn cache_insert(
-        &mut self,
-        key: (u32, u8, u64),
-        env_fp: u64,
-        cid: CompiledId,
-        cost: u64,
-        silent: bool,
-    ) {
-        let (method, level, binding_fp) = key;
-        let evicted = self
-            .code_cache
-            .insert(method, level, binding_fp, env_fp, cid, cost);
-        if let Some(ev) = evicted {
-            if !silent {
-                self.stats.code_cache_evictions += 1;
-                if self.tracer.on() {
-                    self.tracer.emit(
-                        self.clock,
-                        TraceEvent::CodeCacheEvict {
-                            method: ev.method,
-                            code: ev.cid.0,
-                            level: ev.level as u32,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
     /// The baseline (level-0, unspecialized) code a deoptimizing frame of
     /// `mid` resumes in. Level-0 compilation is a pure lift + instrument —
     /// the scalar pipeline runs zero iterations — so its blocks and ops are
@@ -1000,8 +868,7 @@ impl VmState {
             Some(g) if self.compiled(g).level == 0 => g,
             _ => {
                 self.stats.deopt_baseline_compiles += 1;
-                self.compile_internal(mid, 0, None)
-                    .expect("level-0 compiles never fail")
+                self.compile_admitted(mid, 0, None, false)
             }
         };
         self.deopt_baseline[mid.index()] = Some(cid);
@@ -1029,7 +896,12 @@ impl VmState {
     /// updates the JTOC slot and, for virtual methods, the declaring class
     /// TIB and every subclass TIB still inheriting this method. General
     /// code (never special code) propagates to subclasses — paper Fig. 6.
-    fn install_general(&mut self, mid: MethodId, cid: CompiledId) {
+    ///
+    /// With `replacing`, only class-TIB slots holding that code are
+    /// rewritten: the injected recompile swaps a method's code for its twin
+    /// and queues no event, so special code the engine put into a
+    /// static-only class's TIB must stay where it is.
+    fn install_general(&mut self, mid: MethodId, cid: CompiledId, replacing: Option<CompiledId>) {
         self.general_code[mid.index()] = Some(cid);
         let program = Rc::clone(&self.program);
         let md = program.method(mid);
@@ -1043,7 +915,10 @@ impl VmState {
                     // (an overriding subclass keeps its own entry).
                     if cd.vtable[vslot as usize] == mid {
                         let tib = self.class_tibs[c.index()];
-                        self.tibs[tib.index()].methods[vslot as usize] = CodeSlot::Code(cid);
+                        let slot = &mut self.tibs[tib.index()].methods[vslot as usize];
+                        if replacing.is_none_or(|old| *slot == CodeSlot::Code(old)) {
+                            *slot = CodeSlot::Code(cid);
+                        }
                     }
                 }
             }
@@ -1567,10 +1442,11 @@ impl VmState {
     ///   leaves the clock and GC stats untouched;
     /// * an IC bump empties the interface-site caches, which are a
     ///   host-side memo with no modeled cost;
-    /// * an injected recompile regenerates and reinstalls the running
-    ///   method's general code without billing compile cycles, touching the
-    ///   profile or queueing a recompilation event — the compiler is
-    ///   deterministic, so the new code is identical to the old.
+    /// * an injected recompile regenerates the running method's general
+    ///   code and puts it where the old code sat, without billing compile
+    ///   cycles, touching the profile or queueing a recompilation event —
+    ///   the compiler is deterministic, so the new code is identical to the
+    ///   old.
     ///
     /// This is what lets the differential harness assert bit-identical
     /// output *and* modeled cycles with injection on vs. off.
@@ -1605,12 +1481,12 @@ impl VmState {
             Fault::Recompile => {
                 let Some(fr) = self.frames.last() else { return Ok(()) };
                 let mid = fr.method;
-                let Some(g) = self.general_code[mid.index()] else {
+                let Some(old) = self.general_code[mid.index()] else {
                     return Ok(());
                 };
-                let level = self.compiled(g).level;
+                let level = self.compiled(old).level;
                 let cid = self.compile_admitted(mid, level, None, true);
-                self.install_general(mid, cid);
+                self.install_general(mid, cid, Some(old));
             }
             Fault::Oom => {
                 return Err(RunError::OutOfMemory {

@@ -9,10 +9,14 @@ use dchm::bytecode::Value;
 use dchm::core::analysis::AnalysisConfig;
 use dchm::core::online::OnlineSession;
 use dchm::core::{HotState, MutableClass, MutationPlan};
+use dchm::ir::Function;
+use dchm::vm::compiler::{lift_baseline, CompileEnv};
 use dchm::vm::{FaultConfig, FaultInjector, SharedCodeCache, Vm, VmConfig};
 use dchm::workloads::{catalog, jbb, Driver, Scale};
 use dchm_testutil::{acct_program, attach_plan, find_workload, harness_config, prepare_workload};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// `[clock, ops, compiles at l0, l1, l2, special compiles, code-cache hits,
 /// misses, evictions, code versions stored, FNV of their (method, level,
@@ -359,5 +363,74 @@ fn throttle_gate_is_asked_at_the_fan_out_clock() {
         let obs = dchm_fuzz::run_config(&p, &plan, &storm);
         assert_eq!(obs.obs.clock, clock, "seed {seed}");
         assert!(obs.specials_throttled > 0, "seed {seed}");
+    }
+}
+
+/// Host nanoseconds of hash-consing a run's lifts, and the run's compile
+/// window. Consing (`Function::fingerprint`, which formats the whole
+/// function, then an equality scan of its bucket) runs inside
+/// `compile_wall_nanos` on every lift miss. This replays it on one fresh
+/// lift, under the run's final compiler environment, of each method the
+/// run compiled, and scales the sum by the run's lift misses per method
+/// replayed (a plan install flushes the lift memo, so a method can be
+/// lifted twice).
+fn consing_and_window(vm: &Vm) -> (f64, u64) {
+    let env = CompileEnv::of(&vm.state);
+    let mut seen = HashSet::new();
+    let mut buckets: HashMap<u64, Vec<Function>> = HashMap::new();
+    let mut nanos = 0u64;
+    for c in &vm.state.code {
+        if !seen.insert(c.method) {
+            continue;
+        }
+        let f = lift_baseline(&env, c.method);
+        let t = Instant::now();
+        let bucket = buckets.entry(f.fingerprint()).or_default();
+        if !bucket.contains(&f) {
+            bucket.push(f);
+        }
+        nanos += t.elapsed().as_nanos() as u64;
+    }
+    let per_lift = nanos as f64 / seen.len().max(1) as f64;
+    (per_lift * vm.state.lift_cache.misses as f64, vm.state.compile_wall_nanos)
+}
+
+/// Not a check: sizes the next compile cut — dropping the lift memo's
+/// hash-consing — as consing's share of the compile window, over the
+/// 384-program pool `short_programs` draws from (generator seeds from
+/// 20,060,326, synthesized plans, the fuzzer's cadence) and the seven
+/// catalog programs at `Scale::Small`. `cargo test --release --test
+/// one_compile_path -- --ignored --nocapture lift_consing_share`.
+#[test]
+#[ignore = "a measurement"]
+fn lift_consing_share() {
+    let (mut consing, mut window, mut lifts) = (0.0, 0u64, 0u64);
+    for k in 0..384 {
+        let spec = dchm_fuzz::generate(20_060_326 + k);
+        let (p, plan) = dchm_fuzz::compile_spec(&spec).expect("lowers");
+        let mut vm = attach_plan(&p, plan, adaptive(1024));
+        let _ = vm.run_entry();
+        let (c, w) = consing_and_window(&vm);
+        (consing, window, lifts) = (consing + c, window + w, lifts + vm.state.lift_cache.misses);
+    }
+    println!(
+        "pool: {lifts} lifts, window {:.1} ms, consing {:.2} ms = {:.1}%",
+        window as f64 / 1e6,
+        consing / 1e6,
+        100.0 * consing / window as f64
+    );
+    for w in catalog(Scale::Small) {
+        let prepared = prepare_workload(&w);
+        let mut vm = prepared.make_vm(harness_config(&w));
+        w.run(&mut vm).expect("runs");
+        let (c, win) = consing_and_window(&vm);
+        println!(
+            "{}: {} lifts, window {:.2} ms, consing {:.3} ms = {:.1}%",
+            w.name,
+            vm.state.lift_cache.misses,
+            win as f64 / 1e6,
+            c / 1e6,
+            100.0 * c / win as f64
+        );
     }
 }

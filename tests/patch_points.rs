@@ -453,6 +453,82 @@ fn silent_recompiles_reach_special_tibs_by_inheritance() {
 
 const SILENT_RECOMPILE_ROWS: [(u64, u64, u64); 4] = [(0, 11382, 760); 4];
 
+/// An injected recompile swaps the running method's general code for its
+/// twin only where that code sits. `Switch` has static state only, so the
+/// engine specializes its class TIB itself, and `read` allocates, so the
+/// injector fires inside it. Rewriting every class-TIB slot of `read`, as
+/// a normal recompile does (its event then makes the engine re-pick the
+/// slots), would put general code over the special entry with no event to
+/// restore it, and the cycle-transparent fault would move the clock.
+#[test]
+fn injected_recompiles_keep_a_static_only_class_special() {
+    let mut pb = ProgramBuilder::new();
+    let switch = pb.class("Switch").build();
+    let flag = pb.static_field(switch, "flag", Ty::Int, Value::Int(0));
+    pb.trivial_ctor(switch);
+    let mut m = pb.method(switch, "read", MethodSig::new(vec![], Some(Ty::Int)));
+    let (r, o) = (m.reg(), m.reg());
+    m.new_init(o, switch, vec![]);
+    m.get_static(r, flag);
+    let skip = m.label();
+    m.br_icmp_imm(CmpOp::Ne, r, 0, skip);
+    m.iadd_imm(r, r, 5);
+    m.imul(r, r, r);
+    m.bind(skip);
+    m.ret(Some(r));
+    let read = m.build();
+    let mut m = pb.static_method(switch, "main", MethodSig::void());
+    let (o, i, r) = (m.reg(), m.reg(), m.reg());
+    m.new_init(o, switch, vec![]);
+    m.const_i(i, 0);
+    let (head, done) = (m.label(), m.label());
+    m.bind(head);
+    m.br_icmp_imm(CmpOp::Ge, i, 200, done);
+    m.call_virtual(Some(r), o, "read", vec![]);
+    m.sink_int(r);
+    m.iadd_imm(i, i, 1);
+    m.jmp(head);
+    m.bind(done);
+    m.ret(None);
+    let main = m.build();
+    pb.set_entry(main);
+    let p = pb.finish().expect("verifies");
+    let plan = MutationPlan {
+        classes: vec![MutableClass {
+            class: switch,
+            instance_state_fields: vec![],
+            static_state_fields: vec![flag],
+            hot_states: vec![HotState {
+                instance_values: vec![],
+                static_values: vec![(flag, Value::Int(0))],
+                frequency: 1.0,
+            }],
+            mutable_methods: vec![read],
+            field_scores: vec![],
+        }],
+        mutation_level: 0,
+        k: 0,
+        emit_guards: true,
+    };
+    let run = |recompiles: bool| {
+        let mut vm = attach_plan(&p, plan.clone(), VmConfig::default());
+        vm.state.injector = Some(FaultInjector::new(FaultConfig {
+            gc_at_alloc: false,
+            ic_bumps: false,
+            recompiles,
+            period: 5,
+            ..FaultConfig::transparent(0)
+        }));
+        vm.run_entry().expect("runs");
+        let injected = vm.state.injector.as_ref().map_or(0, |i| i.recompiles);
+        ((vm.state.output.checksum, vm.cycles(), vm.stats().ops_executed), injected)
+    };
+    let (quiet, injected) = (run(false), run(true));
+    assert_eq!(quiet, ((9321279187403844240, 25281, 3005), 0));
+    assert!(injected.1 > 0, "no recompile was injected");
+    assert_eq!(injected.0, quiet.0);
+}
+
 /// Not a check: prints the host cost of one delivery, fastest of five
 /// batches. `cargo test --release --test patch_points -- --ignored
 /// --nocapture`; to compare revisions, run this file in a checkout of each.
