@@ -169,33 +169,26 @@ mod fuzz {
     //! cache-on must be bit-identical to cache-off in every scenario.
 
     use super::*;
-    use proptest::prelude::*;
+    use dchm_fuzz::gen::Rng;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        #[test]
-        fn random_churn_is_bit_identical_at_any_capacity(
-            which in 0usize..2,
-            capacity in 1usize..5,
-            raw_flags in prop::collection::vec(0u8..2, 1..4),
-            raw_fault in 0u64..1_000,
-        ) {
-            let name = ["SalaryDB", "SimLogic"][which];
-            let guard_flags: Vec<bool> = raw_flags.iter().map(|&b| b == 1).collect();
+    #[test]
+    fn random_churn_is_bit_identical_at_any_capacity() {
+        for case in 0..12 {
+            let mut rng = Rng::new(case);
+            let name = ["SalaryDB", "SimLogic"][rng.below(2) as usize];
+            let capacity = 1 + rng.below(4) as usize;
+            let rounds = 1 + rng.below(3);
+            let guard_flags: Vec<bool> = (0..rounds).map(|_| rng.below(2) == 1).collect();
             // 0 means "no injector"; anything else is the injector seed.
+            let raw_fault = rng.below(1_000);
             let fault = (raw_fault != 0).then_some(raw_fault);
             let (w, prepared) = prepare_small(name);
             let on = churn(&w, &prepared, capacity, &guard_flags, fault);
             let off = churn(&w, &prepared, 0, &guard_flags, fault);
-            prop_assert_eq!(
+            assert_eq!(
                 observe(&on),
                 observe(&off),
-                "{}: capacity {} flags {:?} fault {:?} diverged",
-                name,
-                capacity,
-                &guard_flags,
-                fault
+                "{name}: capacity {capacity} flags {guard_flags:?} fault {fault:?} diverged"
             );
         }
     }

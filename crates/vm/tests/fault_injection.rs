@@ -1,4 +1,4 @@
-//! Fault-injection differential runner (ISSUE 3 tentpole).
+//! Fault-injection differential runner.
 //!
 //! The injector perturbs the *host-side machinery* — forced GCs at
 //! allocation points, global IC-version bumps, silent same-level
@@ -17,6 +17,11 @@
 //!
 //! Extra seed: set `DCHM_FAULT_SEED=<n>` to add a fourth seed to every
 //! sweep (the CI fault-injection job pins one).
+//!
+//! Random programs get the same treatment from the root package's
+//! `tests/lattice.rs`: random arithmetic bodies run mutation off, on, and
+//! on under transparent faults and forced guard failures, as groups of the
+//! fuzz lattice.
 
 use dchm_testutil::{big_heap_config, fail_with_trace, find_workload, observe, prepare_with};
 use dchm_vm::{FaultConfig, FaultInjector, RunError, Vm, VmConfig};
@@ -157,251 +162,6 @@ fn jbb2000_bit_identical_under_injection() {
 #[test]
 fn jbb2005_bit_identical_under_injection() {
     check_workload("SPECjbb2005");
-}
-
-mod fuzz {
-    //! Proptest differential fuzzing: random verified programs whose hot
-    //! method reads and writes the state fields its specialized version is
-    //! bound to, run mutation-off, mutation-on, and mutation-on under fault
-    //! injection. Observable results must be identical everywhere, and the
-    //! transparent-fault run must match the uninjected mutated run on the
-    //! modeled clock too.
-
-    use dchm_bytecode::{
-        ClassId, CmpOp, FieldId, IBinOp, MethodId, MethodSig, Program, ProgramBuilder, Ty, Value,
-    };
-    use dchm_core::{HotState, MutableClass, MutationEngine, MutationPlan, OlcReport};
-    use dchm_vm::{FaultConfig, FaultInjector, RunError, VmConfig};
-    use proptest::prelude::*;
-
-    const POOL: usize = 4;
-
-    #[derive(Clone, Debug)]
-    enum Stmt {
-        Const(usize, i64),
-        Bin(IBinOp, usize, usize, usize),
-        StoreField(usize, usize),
-        LoadField(usize, usize),
-        Sink(usize),
-        /// Allocate a garbage object: an injection site for the fault
-        /// injector (and a ctor-exit patch point).
-        Alloc,
-        If(CmpOp, usize, usize, Vec<Stmt>, Vec<Stmt>),
-        Loop(u8, Vec<Stmt>),
-    }
-
-    fn leaf() -> impl Strategy<Value = Stmt> {
-        prop_oneof![
-            (0..POOL, -8i64..9).prop_map(|(r, v)| Stmt::Const(r, v)),
-            (
-                prop_oneof![
-                    Just(IBinOp::Add),
-                    Just(IBinOp::Sub),
-                    Just(IBinOp::Mul),
-                    Just(IBinOp::Div),
-                    Just(IBinOp::Rem),
-                    Just(IBinOp::Xor),
-                ],
-                0..POOL,
-                0..POOL,
-                0..POOL
-            )
-                .prop_map(|(op, d, a, b)| Stmt::Bin(op, d, a, b)),
-            (0..2usize, 0..POOL).prop_map(|(f, r)| Stmt::StoreField(f, r)),
-            (0..POOL, 0..2usize).prop_map(|(r, f)| Stmt::LoadField(r, f)),
-            (0..POOL).prop_map(Stmt::Sink),
-            Just(Stmt::Alloc),
-        ]
-    }
-
-    fn stmt() -> impl Strategy<Value = Stmt> {
-        leaf().prop_recursive(3, 24, 6, |inner| {
-            prop_oneof![
-                (
-                    prop_oneof![
-                        Just(CmpOp::Eq),
-                        Just(CmpOp::Ne),
-                        Just(CmpOp::Lt),
-                        Just(CmpOp::Ge)
-                    ],
-                    0..POOL,
-                    0..POOL,
-                    prop::collection::vec(inner.clone(), 0..4),
-                    prop::collection::vec(inner.clone(), 0..4)
-                )
-                    .prop_map(|(c, a, b, t, e)| Stmt::If(c, a, b, t, e)),
-                (1u8..4, prop::collection::vec(inner, 1..4))
-                    .prop_map(|(n, body)| Stmt::Loop(n, body)),
-            ]
-        })
-    }
-
-    fn emit(
-        m: &mut dchm_bytecode::MethodBuilder<'_>,
-        pool: &[dchm_bytecode::Reg],
-        this: dchm_bytecode::Reg,
-        cls: ClassId,
-        fields: &[FieldId],
-        stmts: &[Stmt],
-    ) {
-        for s in stmts {
-            match s {
-                Stmt::Const(r, v) => m.const_i(pool[*r], *v),
-                Stmt::Bin(op, d, a, b) => m.ibin(*op, pool[*d], pool[*a], pool[*b]),
-                Stmt::StoreField(f, r) => m.put_field(this, fields[*f], pool[*r]),
-                Stmt::LoadField(r, f) => m.get_field(pool[*r], this, fields[*f]),
-                Stmt::Sink(r) => m.sink_int(pool[*r]),
-                Stmt::Alloc => {
-                    let g = m.reg();
-                    m.new_init(g, cls, vec![]);
-                }
-                Stmt::If(op, a, b, then_s, else_s) => {
-                    let l_else = m.label();
-                    let l_end = m.label();
-                    let neg = op.negated();
-                    m.br_icmp(neg, pool[*a], pool[*b], l_else);
-                    emit(m, pool, this, cls, fields, then_s);
-                    m.jmp(l_end);
-                    m.bind(l_else);
-                    emit(m, pool, this, cls, fields, else_s);
-                    m.bind(l_end);
-                }
-                Stmt::Loop(n, body) => {
-                    let cnt = m.reg();
-                    m.const_i(cnt, *n as i64);
-                    let head = m.label();
-                    let done = m.label();
-                    m.bind(head);
-                    let zero = m.imm(0);
-                    m.br_icmp(CmpOp::Le, cnt, zero, done);
-                    emit(m, pool, this, cls, fields, body);
-                    let one = m.imm(1);
-                    m.isub(cnt, cnt, one);
-                    m.jmp(head);
-                    m.bind(done);
-                }
-            }
-        }
-    }
-
-    /// class P { int f0 = 1, f1 = 2; void work(){ <random body> } }
-    /// main: o = new P(); o.work(); o.work();
-    /// The ctor leaves every P in the hot state {f0:1, f1:2}; random
-    /// stores inside work() knock `o` out of it mid-frame.
-    fn build(stmts: &[Stmt]) -> (Program, ClassId, FieldId, FieldId, MethodId) {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("P").build();
-        let f0 = pb.instance_field(c, "f0", Ty::Int);
-        let f1 = pb.instance_field(c, "f1", Ty::Int);
-        let mut m = pb.ctor(c, vec![]);
-        let this = m.this();
-        let one = m.imm(1);
-        m.put_field(this, f0, one);
-        let two = m.imm(2);
-        m.put_field(this, f1, two);
-        m.ret(None);
-        m.build();
-
-        let mut m = pb.method(c, "work", MethodSig::void());
-        let this = m.this();
-        let pool: Vec<_> = (0..POOL).map(|_| m.reg()).collect();
-        for (i, &r) in pool.iter().enumerate() {
-            m.const_i(r, i as i64 + 1);
-        }
-        emit(&mut m, &pool, this, c, &[f0, f1], stmts);
-        for &r in &pool {
-            m.sink_int(r);
-        }
-        m.ret(None);
-        let work = m.build();
-
-        let mut m = pb.static_method(c, "main", MethodSig::void());
-        let o = m.reg();
-        m.new_init(o, c, vec![]);
-        m.call_virtual(None, o, "work", vec![]);
-        m.call_virtual(None, o, "work", vec![]);
-        m.ret(None);
-        let main = m.build();
-        pb.set_entry(main);
-        (pb.finish().expect("generated program verifies"), c, f0, f1, work)
-    }
-
-    fn plan(c: ClassId, f0: FieldId, f1: FieldId, work: MethodId, hot: bool) -> MutationPlan {
-        MutationPlan {
-            classes: vec![MutableClass {
-                class: c,
-                instance_state_fields: vec![f0, f1],
-                static_state_fields: vec![],
-                hot_states: if hot {
-                    vec![HotState {
-                        instance_values: vec![(f0, Value::Int(1)), (f1, Value::Int(2))],
-                        static_values: vec![],
-                        frequency: 1.0,
-                    }]
-                } else {
-                    vec![]
-                },
-                mutable_methods: vec![work],
-                field_scores: vec![],
-            }],
-            mutation_level: 2,
-            k: 0,
-            emit_guards: true,
-        }
-    }
-
-    fn run(
-        p: &Program,
-        plan: MutationPlan,
-        injector: Option<FaultInjector>,
-    ) -> (Result<Option<Value>, RunError>, u64, u64, u64) {
-        let engine = MutationEngine::new(plan, OlcReport::default());
-        let cfg = VmConfig {
-            heap_bytes: 64 << 20,
-            fuel: Some(2_000_000),
-            ..Default::default()
-        };
-        let mut vm = engine.attach(p.clone(), cfg);
-        vm.state.injector = injector;
-        let r = vm.run_entry();
-        (
-            r,
-            vm.state.output.checksum,
-            vm.cycles(),
-            vm.stats().ops_executed,
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        #[test]
-        fn mutation_and_injection_never_change_results(
-            stmts in prop::collection::vec(stmt(), 1..12),
-            seed in 1u64..1_000,
-        ) {
-            let (p, c, f0, f1, work) = build(&stmts);
-            let (r_off, sum_off, _, _) = run(&p, plan(c, f0, f1, work, false), None);
-            let (r_on, sum_on, clock_on, ops_on) = run(&p, plan(c, f0, f1, work, true), None);
-            prop_assert_eq!(&r_off, &r_on, "mutation changed the result");
-            prop_assert_eq!(sum_off, sum_on, "mutation changed the output");
-
-            let inj = FaultInjector::new(FaultConfig {
-                period: 1,
-                ..FaultConfig::transparent(seed)
-            });
-            let (r_t, sum_t, clock_t, ops_t) = run(&p, plan(c, f0, f1, work, true), Some(inj));
-            prop_assert_eq!(&r_on, &r_t, "transparent faults changed the result");
-            prop_assert_eq!(sum_on, sum_t, "transparent faults changed the output");
-            prop_assert_eq!(clock_on, clock_t, "transparent faults moved the clock");
-            prop_assert_eq!(ops_on, ops_t, "transparent faults changed op count");
-
-            let inj = FaultInjector::new(FaultConfig::guard_failures(seed));
-            let (r_g, sum_g, _, _) = run(&p, plan(c, f0, f1, work, true), Some(inj));
-            prop_assert_eq!(&r_on, &r_g, "forced guard failures changed the result");
-            prop_assert_eq!(sum_on, sum_g, "forced guard failures changed the output");
-        }
-    }
 }
 
 #[test]

@@ -187,34 +187,24 @@ mod interleavings {
     //! its solo golden bit for bit.
 
     use super::*;
-    use proptest::prelude::*;
+    use dchm_fuzz::gen::Rng;
 
-    /// Deterministic Fisher–Yates driven by splitmix64.
-    fn shuffle<T>(items: &mut [T], mut seed: u64) {
-        let mut next = || {
-            seed = seed.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        };
+    /// Deterministic Fisher–Yates.
+    fn shuffle<T>(items: &mut [T], rng: &mut Rng) {
         for i in (1..items.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
+            let j = rng.below(i as u64 + 1) as usize;
             items.swap(i, j);
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        #[test]
-        fn random_fleets_reproduce_solo_goldens(
-            workers in 1usize..9,
-            order_seed in 0u64..1_000,
-            with_shared in 0u8..2,
-            fault_seed in 0u64..1_000,
-        ) {
-            let goldens = goldens();
+    #[test]
+    fn random_fleets_reproduce_solo_goldens() {
+        let goldens = goldens();
+        for case in 0..6 {
+            let mut rng = Rng::new(case);
+            let workers = 1 + rng.below(8) as usize;
+            let with_shared = rng.below(2) == 1;
+            let fault_seed = rng.below(1_000);
             // Base jobs + one faulted SalaryDB replica (seeded per case)
             // + one clean SalaryDB replica, in a random order.
             let mut indexed: Vec<(usize, FleetJob)> = goldens
@@ -227,20 +217,17 @@ mod interleavings {
             let faulted_solo = run_job(&faulted, None);
             indexed.push((usize::MAX, faulted));
             indexed.push((0, goldens[0].0.clone()));
-            shuffle(&mut indexed, order_seed);
+            shuffle(&mut indexed, &mut rng);
 
             let jobs: Vec<FleetJob> = indexed.iter().map(|(_, j)| j.clone()).collect();
-            let shared = (with_shared == 1).then(|| Arc::new(SharedCodeCache::new(4096)));
-            let reports = run_jobs_fleet(
-                &FleetConfig::dynamic(workers),
-                &jobs,
-                shared.as_ref(),
-            );
+            let shared = with_shared.then(|| Arc::new(SharedCodeCache::new(4096)));
+            let reports = run_jobs_fleet(&FleetConfig::dynamic(workers), &jobs, shared.as_ref());
             for ((gi, job), rep) in indexed.iter().zip(&reports) {
                 let solo = if *gi == usize::MAX { &faulted_solo } else { &goldens[*gi].1 };
-                prop_assert_eq!(&rep.obs, &solo.obs, "{} diverged (workers {})", &job.name, workers);
-                prop_assert_eq!(&rep.stats, &solo.stats, "{} stats diverged", &job.name);
-                prop_assert_eq!(&rep.folded, &solo.folded, "{} profile diverged", &job.name);
+                let ctx = format!("{} (workers {workers}, shared {with_shared})", job.name);
+                assert_eq!(rep.obs, solo.obs, "{ctx} diverged");
+                assert_eq!(rep.stats, solo.stats, "{ctx} stats diverged");
+                assert_eq!(rep.folded, solo.folded, "{ctx} profile diverged");
             }
         }
     }

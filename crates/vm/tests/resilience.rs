@@ -16,10 +16,6 @@
 //! recursion into `RunError::StackOverflow` — all without ever aborting the
 //! test harness.
 
-// The vendored proptest shim's macro is token-munching; long property
-// bodies need headroom.
-#![recursion_limit = "1024"]
-
 use dchm_bytecode::{CmpOp, MethodSig, Program, ProgramBuilder, Ty, Value};
 use dchm_core::{MutationEngine, OlcReport};
 use dchm_testutil::{
@@ -465,7 +461,7 @@ fn catalog_salarydb_storm_is_damped_with_default_config() {
 
 mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use dchm_fuzz::gen::Rng;
 
     /// Re-runs one storm schedule twice and returns (fingerprint, governor
     /// stats) of the first, asserting the second is bit-identical.
@@ -538,21 +534,21 @@ mod properties {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        #[test]
-        fn random_storm_schedules_are_deterministic(
-            employees in 4i64..24,
-            iters in 4i64..32,
-            seed in 1u64..1024,
-        ) {
+    #[test]
+    fn random_storm_schedules_are_deterministic() {
+        for case in 0..16 {
+            let mut rng = Rng::new(case);
+            let employees = 4 + rng.below(20) as i64;
+            let iters = 4 + rng.below(28) as i64;
+            let seed = 1 + rng.below(1023);
             check_random_schedule(employees, iters, seed);
         }
+    }
 
-        #[test]
-        fn backoff_deadlines_are_monotone(seed in 1u64..256) {
-            check_monotone_deadlines(seed);
+    #[test]
+    fn backoff_deadlines_are_monotone() {
+        for case in 0..16 {
+            check_monotone_deadlines(1 + Rng::new(case).below(255));
         }
     }
 }

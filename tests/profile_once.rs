@@ -13,6 +13,7 @@ use dchm::profile::{
 };
 use dchm::vm::Vm;
 use dchm::workloads::{catalog, Driver, Scale, Workload};
+use dchm_fuzz::gen::Rng;
 use std::cell::Cell;
 use std::collections::HashSet;
 
@@ -128,14 +129,9 @@ fn prepare_equals_the_two_run_composition_and_drives_once() {
 
 #[test]
 fn watch_set_covers_every_possible_candidate_set() {
-    // xorshift64*: seeded, no dependency.
-    let mut x = 0x9e37_79b9_7f4a_7c15_u64;
-    let mut rand = move || {
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
-    };
+    // Uniform in [0, 1) from the top 53 bits of one draw.
+    let mut rng = Rng::new(0x9e37_79b9_7f4a_7c15);
+    let mut rand = move || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
     let default = AnalysisConfig::default();
     for w in subjects() {
         let p = &w.program;
