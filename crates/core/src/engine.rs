@@ -239,8 +239,9 @@ impl MutationEngine {
         &self.plan
     }
 
-    /// Installs this engine into a VM that is *already running* — the
-    /// paper's future-work "complete online Java solution" (Sec. 9):
+    /// Installs this engine into a VM that is *already running*. The plan
+    /// itself is built offline as usual; building it inside the running VM
+    /// (the paper's Sec. 9 future work) is not reproduced. The install:
     ///
     /// 1. installs the plan (patch spec, hints, special TIBs);
     /// 2. re-instruments every already-compiled method that needs patch

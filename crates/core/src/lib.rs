@@ -21,8 +21,6 @@
 //! * [`olc`] — object-lifetime-constant analysis (Sec. 4, Fig. 8).
 //! * [`pipeline`] — the end-to-end driver of Figure 3: profile, analyze,
 //!   plan, attach.
-//! * [`online`] — the paper's future work implemented: a session that
-//!   profiles, analyzes and installs mutation *while the VM keeps running*.
 //!
 //! ```no_run
 //! use dchm_core::pipeline::{prepare, PipelineConfig};
@@ -39,7 +37,6 @@
 pub mod analysis;
 pub mod engine;
 pub mod olc;
-pub mod online;
 pub mod pipeline;
 pub mod plan;
 pub mod synth;
@@ -47,7 +44,6 @@ pub mod synth;
 pub use analysis::{build_plan, find_state_fields, AnalysisConfig, FieldSites};
 pub use engine::MutationEngine;
 pub use olc::{analyze_olc, OlcReport};
-pub use online::{OnlineSession, Phase};
 pub use pipeline::{prepare, PipelineConfig, Prepared};
 pub use plan::{HotState, MutableClass, MutationPlan};
 pub use synth::{synthesize_plan, SynthConfig};

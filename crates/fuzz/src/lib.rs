@@ -53,8 +53,14 @@ pub fn compile_spec(spec: &Spec) -> Option<(dchm_bytecode::Program, MutationPlan
 }
 
 /// Lattice-checks one spec: lower, synthesize, run every config, compare.
-pub fn check_spec(spec: &Spec, configs: &[ConfigSpec]) -> Option<Divergence> {
-    let (p, plan) = compile_spec(spec)?;
+/// A spec that does not lower runs nothing and yields no fingerprints.
+///
+/// # Errors
+/// The first divergence [`check`] finds.
+pub fn check_spec(spec: &Spec, configs: &[ConfigSpec]) -> Result<Vec<FuzzObs>, Divergence> {
+    let Some((p, plan)) = compile_spec(spec) else {
+        return Ok(Vec::new());
+    };
     check(&p, &plan, configs)
 }
 
@@ -62,7 +68,7 @@ pub fn check_spec(spec: &Spec, configs: &[ConfigSpec]) -> Option<Divergence> {
 /// *kind* (an output divergence never degrades into a mere clock one).
 pub fn minimize(spec: &Spec, configs: &[ConfigSpec], kind: &str) -> Spec {
     shrink(spec, &mut |s: &Spec| {
-        check_spec(s, configs).is_some_and(|d| d.kind == kind)
+        check_spec(s, configs).is_err_and(|d| d.kind == kind)
     })
 }
 

@@ -90,13 +90,13 @@ fn main() {
             }
         }
         let spec = generate(seed);
-        if let Some(d) = check_spec(&spec, &configs) {
+        if let Err(d) = check_spec(&spec, &configs) {
             eprintln!(
                 "seed {seed}: {} divergence between {} and {} — shrinking",
                 d.kind, d.config_a, d.config_b
             );
             let min = minimize(&spec, &configs, d.kind);
-            let d = check_spec(&min, &configs).expect("minimized spec still diverges");
+            let d = check_spec(&min, &configs).expect_err("minimized spec still diverges");
             let repro = Repro {
                 seed,
                 kind: d.kind.to_string(),

@@ -179,16 +179,21 @@ pub struct Divergence {
     pub detail: String,
 }
 
-/// Runs the whole lattice and returns the first divergence, if any.
+/// Runs the whole lattice: every run's fingerprint, in `configs` order, or
+/// the first divergence.
 ///
 /// Output identity is checked first (it is the conformance property;
 /// a clock mismatch usually rides along with it), then full-fingerprint
 /// identity inside each non-empty clock group.
+///
+/// # Errors
+/// The first pair of configs whose fingerprints their groups say must
+/// agree and do not.
 pub fn check(
     p: &dchm_bytecode::Program,
     plan: &MutationPlan,
     configs: &[ConfigSpec],
-) -> Option<Divergence> {
+) -> Result<Vec<FuzzObs>, Divergence> {
     let results: Vec<FuzzObs> = configs.iter().map(|c| run_config(p, plan, c)).collect();
 
     let find = |key: fn(&ConfigSpec) -> &'static str,
@@ -220,10 +225,11 @@ pub fn check(
         None
     };
 
-    find(
+    let divergence = find(
         |c| c.output_group,
         |a, b| a.output() == b.output(),
         "output",
     )
-    .or_else(|| find(|c| c.clock_group, |a, b| a == b, "clock"))
+    .or_else(|| find(|c| c.clock_group, |a, b| a == b, "clock"));
+    divergence.map_or(Ok(results), Err)
 }

@@ -2,7 +2,7 @@
 //! lattice as ordinary tests — every edge case the fuzzer development
 //! surfaced stays a permanent conformance check.
 
-use dchm_fuzz::{check_spec, compile_spec, corpus_specs, lattice, Spec};
+use dchm_fuzz::{check_spec, compile_spec, corpus_specs, lattice, FuzzObs, Spec};
 use std::path::Path;
 
 fn corpus_dir() -> &'static Path {
@@ -33,19 +33,29 @@ fn corpus_has_at_least_five_cases() {
     assert!(corpus_specs().len() >= 5);
 }
 
-fn check_case(name: &str) {
+/// Lattice-checks one case and returns its run under each of `configs`
+/// (named from the lattice).
+fn check_case<const N: usize>(name: &str, configs: [&str; N]) -> [FuzzObs; N] {
     let spec = load(name);
-    if let Some(d) = check_spec(&spec, &lattice()) {
+    let cfgs = lattice();
+    let results = check_spec(&spec, &cfgs).unwrap_or_else(|d| {
         panic!(
             "{name}: {} divergence between {} and {}\n{}",
             d.kind, d.config_a, d.config_b, d.detail
-        );
-    }
+        )
+    });
+    configs.map(|c| {
+        let i = cfgs
+            .iter()
+            .position(|x| x.name == c)
+            .expect("a lattice config");
+        results[i].clone()
+    })
 }
 
 #[test]
 fn empty_method_conforms() {
-    check_case("empty-method");
+    check_case("empty-method", []);
     // And it really is the no-state edge: the synthesized plan is empty.
     let (_, plan) = compile_spec(&load("empty-method")).unwrap();
     assert!(plan.classes.is_empty());
@@ -53,53 +63,36 @@ fn empty_method_conforms() {
 
 #[test]
 fn mutation_during_gc_conforms() {
-    check_case("mutation-during-gc");
     // The scenario must actually collect on the small heap and flip TIBs,
     // or it is not testing mutation during GC.
-    use dchm_fuzz::{lattice, run_config};
-    let (p, plan) = compile_spec(&load("mutation-during-gc")).unwrap();
-    let cfgs = lattice();
-    let adaptive_mut = cfgs.iter().find(|c| c.name == "adaptive-mut").unwrap();
-    let obs = run_config(&p, &plan, adaptive_mut);
+    let [obs] = check_case("mutation-during-gc", ["adaptive-mut"]);
     assert!(obs.obs.gc_cycles > 0, "no GC ran: {obs:?}");
     assert!(obs.tib_flips > 0, "no TIB flips: {obs:?}");
 }
 
 #[test]
 fn guard_fail_first_call_conforms() {
-    check_case("guard-fail-first-call");
-    use dchm_fuzz::{lattice, run_config};
-    let (p, plan) = compile_spec(&load("guard-fail-first-call")).unwrap();
-    let cfgs = lattice();
-    let adaptive_mut = cfgs.iter().find(|c| c.name == "adaptive-mut").unwrap();
-    let obs = run_config(&p, &plan, adaptive_mut);
+    let [obs] = check_case("guard-fail-first-call", ["adaptive-mut"]);
     assert!(obs.guard_failures > 0, "guard never failed: {obs:?}");
     assert!(obs.deopts > 0, "nothing deoptimized: {obs:?}");
 }
 
 #[test]
 fn interface_dispatch_flip_conforms() {
-    check_case("interface-dispatch-flip");
+    check_case("interface-dispatch-flip", []);
 }
 
 #[test]
 fn two_class_storm_conforms() {
-    check_case("two-class-storm");
     // The scenario must actually storm hard enough to wake the governor —
-    // and the lattice check above has already proven that throttling moved
-    // no output byte anywhere.
-    use dchm_fuzz::{lattice, run_config};
-    let (p, plan) = compile_spec(&load("two-class-storm")).unwrap();
-    let cfgs = lattice();
-    let adaptive_mut = cfgs.iter().find(|c| c.name == "adaptive-mut").unwrap();
-    assert!(adaptive_mut.governor);
-    let obs = run_config(&p, &plan, adaptive_mut);
+    // and the lattice check has already proven that throttling moved no
+    // output byte anywhere.
+    let [obs, raw] = check_case("two-class-storm", ["adaptive-mut", "adaptive-mut-nogov"]);
+    assert!(lattice().iter().any(|c| c.name == "adaptive-mut" && c.governor));
     assert!(obs.guard_failures > 0, "storm never failed a guard: {obs:?}");
     assert!(obs.specials_throttled > 0, "governor never throttled: {obs:?}");
     // The ungoverned reference rides the full storm: strictly more deopts,
     // same output (checked by `check_case` via the output group).
-    let nogov = cfgs.iter().find(|c| c.name == "adaptive-mut-nogov").unwrap();
-    let raw = run_config(&p, &plan, nogov);
     assert_eq!(raw.specials_throttled, 0);
     assert!(
         raw.deopts > obs.deopts,
@@ -111,7 +104,7 @@ fn two_class_storm_conforms() {
 
 #[test]
 fn static_state_flip_conforms() {
-    check_case("static-state-flip");
+    check_case("static-state-flip", []);
 }
 
 #[test]
@@ -119,7 +112,7 @@ fn two_tenant_shared_conforms() {
     // The lattice replay includes the `fleet-shared-cache` and
     // `two-tenant-shared` configs, whose oracle already asserts the second
     // tenant runs zero compiler pipelines.
-    check_case("two-tenant-shared");
+    check_case("two-tenant-shared", []);
 
     // And directly: the scenario must actually exercise shared
     // compilation — a tenant that never compiles would pass the lattice

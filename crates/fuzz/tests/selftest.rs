@@ -42,13 +42,14 @@ fn broken_guard_site_is_caught_and_shrinks_small() {
         .find_map(|seed| {
             let spec = generate(seed);
             check_spec(&spec, &configs)
+                .err()
                 .filter(|d| d.kind == "output")
                 .map(|d| (seed, spec, d))
         })
         .expect("some early seed must expose the missing guards as wrong output");
 
     let min = minimize(&spec, &configs, "output");
-    let d2 = check_spec(&min, &configs).expect("minimized spec still diverges");
+    let d2 = check_spec(&min, &configs).expect_err("minimized spec still diverges");
     assert_eq!(d2.kind, "output", "shrinking degraded the divergence kind");
 
     let p = lower(&min).expect("minimized spec lowers");
@@ -78,7 +79,7 @@ fn broken_guard_site_is_caught_and_shrinks_small() {
 fn untampered_lattice_is_clean_on_the_selftest_seeds() {
     let configs = lattice();
     for seed in 0..12 {
-        if let Some(d) = check_spec(&generate(seed), &configs) {
+        if let Err(d) = check_spec(&generate(seed), &configs) {
             panic!(
                 "seed {seed}: {} divergence between {} and {}\n{}",
                 d.kind, d.config_a, d.config_b, d.detail

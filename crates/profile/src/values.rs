@@ -54,14 +54,8 @@ pub struct ValueHistogram {
 
 impl ValueHistogram {
     fn record(&mut self, v: Value) {
-        self.add(v, 1);
-    }
-
-    /// Adds `count` observations of `v` (used by heap-census seeding in the
-    /// online pipeline).
-    pub fn add(&mut self, v: Value, count: u64) {
-        *self.counts.entry(ValueKey::of(v)).or_insert(0) += count;
-        self.total += count;
+        *self.counts.entry(ValueKey::of(v)).or_insert(0) += 1;
+        self.total += 1;
     }
 
     /// Values sorted by frequency (descending), with relative frequency.
@@ -96,17 +90,6 @@ impl ValueReport {
         self.fields.retain(|f, _| keep(*f));
         self.by_class.retain(|(_, f), _| keep(*f));
     }
-
-    /// Records an observation of an instance field on `class` (heap census).
-    pub fn add_instance(&mut self, class: ClassId, field: FieldId, value: Value, count: u64) {
-        self.fields.entry(field).or_default().add(value, count);
-        *self.by_class.entry((class, field)).or_insert(0) += count;
-    }
-
-    /// Records an observation of a static field (heap census).
-    pub fn add_static(&mut self, field: FieldId, value: Value, count: u64) {
-        self.fields.entry(field).or_default().add(value, count);
-    }
 }
 
 /// The observer; shares its store so the report survives the VM.
@@ -123,11 +106,6 @@ impl ValueProfiler {
             watch: fields.into_iter().collect(),
             store: Rc::new(RefCell::new(ValueReport::default())),
         }
-    }
-
-    /// Snapshot of the collected report.
-    pub fn report(&self) -> ValueReport {
-        self.store.borrow().clone()
     }
 
     /// Moves the collected report out, leaving this profiler's store empty

@@ -342,8 +342,8 @@ impl Heap {
     }
 
     /// Iterates all live objects (not arrays) with their exact classes.
-    /// Used by the online-mutation extension to adopt objects that existed
-    /// before a plan was installed.
+    /// `MutationEngine::install_online` adopts through it the objects that
+    /// existed before a plan was installed.
     pub fn iter_live_objects(&self) -> impl Iterator<Item = (ObjRef, ClassId)> + '_ {
         self.cells.iter().enumerate().filter_map(|(i, c)| match c {
             Cell::Obj(o) => Some((ObjRef(i as u32), o.class)),

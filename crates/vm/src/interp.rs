@@ -104,12 +104,6 @@ impl Vm {
         self.observer = Some(obs);
     }
 
-    /// Detaches and returns the observer.
-    pub fn detach_observer(&mut self) -> Option<Box<dyn VmObserver>> {
-        self.watched.clear();
-        self.observer.take()
-    }
-
     /// Total modeled cycles so far (execution + compilation + GC).
     pub fn cycles(&self) -> u64 {
         self.state.clock

@@ -4,9 +4,14 @@
 //!
 //! 1. preserve observable behaviour exactly, and
 //! 2. for the mutation-friendly workloads, reduce execution cycles.
+//!
+//! A plan installed into a VM that is already running
+//! (`MutationEngine::install_online`) must preserve behaviour too.
 
+use dchm::bytecode::{CmpOp, MethodId, MethodSig, Program, ProgramBuilder, Ty, Value};
 use dchm::core::pipeline::{prepare, PipelineConfig};
-use dchm::vm::VmConfig;
+use dchm::core::{HotState, MutableClass, MutationEngine, MutationPlan, OlcReport};
+use dchm::vm::{Vm, VmConfig};
 use dchm::workloads::{catalog, Scale, Workload};
 
 fn fast_vm_config(w: &Workload) -> VmConfig {
@@ -143,4 +148,113 @@ fn salarydb_mutation_speeds_up_execution() {
     );
     assert!(mutated.stats().special_tibs >= 4);
     assert!(mutated.stats().tib_flips > 0);
+}
+
+/// A `Worker` whose `mode` is set once by `setup()`, which stores
+/// `new Worker(2)` in a static; `batch(n)` calls the virtual `step` n
+/// times on it. Returns the program, `setup`, `batch` and the plan that
+/// specializes `step` on `mode == 2`.
+fn worker() -> (Program, MethodId, MethodId, MutationPlan) {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("Worker").build();
+    let mode = pb.private_field(c, "mode", Ty::Int);
+    let mut m = pb.ctor(c, vec![Ty::Int]);
+    let this = m.this();
+    let v = m.param(0);
+    m.put_field(this, mode, v);
+    m.ret(None);
+    m.build();
+    let mut m = pb.method(c, "step", MethodSig::new(vec![Ty::Int], Some(Ty::Int)));
+    let this = m.this();
+    let x = m.param(0);
+    let mv = m.reg();
+    m.get_field(mv, this, mode);
+    let alt = m.label();
+    let out = m.reg();
+    m.br_icmp_imm(CmpOp::Ne, mv, 2, alt);
+    let k = m.imm(3);
+    m.imul(out, x, k);
+    m.ret(Some(out));
+    m.bind(alt);
+    let k = m.imm(5);
+    m.imul(out, x, k);
+    m.iadd_imm(out, out, 1);
+    m.ret(Some(out));
+    let step = m.build();
+    let holder = pb.static_field(c, "the", Ty::Ref(c), Value::Null);
+    let mut m = pb.static_method(c, "setup", MethodSig::void());
+    let o = m.reg();
+    let two = m.imm(2);
+    m.new_init(o, c, vec![two]);
+    m.put_static(holder, o);
+    m.ret(None);
+    let setup = m.build();
+    let mut m = pb.static_method(c, "batch", MethodSig::new(vec![Ty::Int], None));
+    let n = m.param(0);
+    let o = m.reg();
+    m.get_static(o, holder);
+    let i = m.reg();
+    m.const_i(i, 0);
+    let head = m.label();
+    let done = m.label();
+    m.bind(head);
+    m.br_icmp(CmpOp::Ge, i, n, done);
+    let r = m.reg();
+    m.call_virtual(Some(r), o, "step", vec![i]);
+    m.sink_int(r);
+    m.iadd_imm(i, i, 1);
+    m.jmp(head);
+    m.bind(done);
+    m.ret(None);
+    let batch = m.build();
+    let plan = MutationPlan {
+        classes: vec![MutableClass {
+            class: c,
+            instance_state_fields: vec![mode],
+            static_state_fields: vec![],
+            hot_states: vec![HotState {
+                instance_values: vec![(mode, Value::Int(2))],
+                static_values: vec![],
+                frequency: 1.0,
+            }],
+            mutable_methods: vec![step],
+            field_scores: vec![],
+        }],
+        mutation_level: 2,
+        k: 0,
+        emit_guards: true,
+    };
+    (pb.finish().expect("verifies"), setup, batch, plan)
+}
+
+/// A plan installed into a running VM adopts the worker `setup()` made
+/// before the plan existed, and the run that follows prints what a
+/// never-mutated run prints.
+#[test]
+fn online_install_adopts_live_objects_and_keeps_output() {
+    let (p, setup, batch, plan) = worker();
+    let config = VmConfig {
+        sample_period: 8_000,
+        opt1_samples: 2,
+        opt2_samples: 4,
+        ..VmConfig::default()
+    };
+    let run = |vm: &mut Vm, batches: usize| {
+        for _ in 0..batches {
+            vm.call_static(batch, &[Value::Int(800)]).expect("batch");
+        }
+    };
+    let mut plain = Vm::new(p.clone(), config.clone());
+    plain.call_static(setup, &[]).expect("setup");
+    run(&mut plain, 6);
+
+    let mut vm = Vm::new(p, config);
+    vm.call_static(setup, &[]).expect("setup");
+    run(&mut vm, 2);
+    assert_eq!(vm.stats().tib_flips, 0);
+    MutationEngine::new(plan, OlcReport::default()).install_online(&mut vm);
+    assert!(vm.stats().tib_flips >= 1, "the live worker was not adopted");
+    run(&mut vm, 4);
+    assert!(vm.stats().special_compiles >= 1, "no special code followed");
+    assert_eq!(vm.state.output.checksum, plain.state.output.checksum);
 }

@@ -1,14 +1,13 @@
 //! Every compile request runs one admitted sequence, one request at a
-//! time: a mutable method's special versions compile in state order, and an
-//! online install re-instruments compiled methods in method order. What the
-//! model sees of those fan-outs — clock, ops, compiles per tier, code-cache
-//! traffic and the order code versions were stored in — is pinned from the
-//! commit before the threaded batch compiler was deleted.
+//! time: a mutable method's special versions compile in state order, and
+//! `MutationEngine::install_online` re-instruments compiled methods in
+//! method order. What the model sees of those fan-outs — clock, ops,
+//! compiles per tier, code-cache traffic and the order code versions were
+//! stored in — is pinned from the commit before the threaded batch compiler
+//! was deleted.
 
 use dchm::bytecode::Value;
-use dchm::core::analysis::AnalysisConfig;
-use dchm::core::online::OnlineSession;
-use dchm::core::{HotState, MutableClass, MutationPlan};
+use dchm::core::{HotState, MutableClass, MutationEngine, MutationPlan};
 use dchm::ir::Function;
 use dchm::vm::compiler::{lift_baseline, CompileEnv};
 use dchm::vm::{FaultConfig, FaultInjector, SharedCodeCache, Vm, VmConfig};
@@ -265,9 +264,10 @@ fn identical_bindings_compile_once_with_a_cache_and_twice_without() {
     }
 }
 
-/// `OnlineSession` on SPECjbb2000: hot profiling in warehouse 1, value
-/// sampling in 2, the install between 2 and 3. The install re-instruments
-/// seven compiled methods, one `recompile` each, in method order.
+/// `MutationEngine::install_online` on SPECjbb2000: warehouses 1 and 2 run
+/// on a plain VM, the plan and OLC report of `pipeline::prepare` go in
+/// between 2 and 3. The install re-instruments seven compiled methods, one
+/// `recompile` each, in method order.
 #[rustfmt::skip]
 const ONLINE: Row = [1030800, 142786, 32, 7, 2, 3, 0, 44, 0, 44, 9374359820127346224];
 
@@ -284,24 +284,19 @@ fn online_install_recompiles_in_method_order() {
         unreachable!("SPECjbb2000 is warehouse-driven")
     };
     assert_eq!(warehouses, 3);
-    let mut s = OnlineSession::new(
-        w.program.clone(),
-        harness_config(&w),
-        AnalysisConfig::default(),
-    );
-    s.vm_mut().call_static(setup, &[]).expect("setup");
-    s.vm_mut()
-        .call_static(run, &[Value::Int(txns)])
-        .expect("warehouse 1");
-    s.begin_value_sampling();
-    s.vm_mut()
-        .call_static(run, &[Value::Int(txns)])
-        .expect("warehouse 2");
-    let before = s.vm().state.code.len();
-    assert_eq!(s.install_mutation(), 3);
+    let mut vm = Vm::new(w.program.clone(), harness_config(&w));
+    vm.call_static(setup, &[]).expect("setup");
+    for _ in 0..2 {
+        vm.call_static(run, &[Value::Int(txns)])
+            .expect("warehouses 1-2");
+    }
+    let prepared = prepare_workload(&w);
+    assert_eq!(prepared.plan.classes.len(), 3);
+    let before = vm.state.code.len();
+    MutationEngine::new(prepared.plan, prepared.olc).install_online(&mut vm);
     assert_eq!(before, 33);
     assert_eq!(
-        stored(s.vm(), before),
+        stored(&vm, before),
         [
             (8, 1, false),
             (9, 0, false),
@@ -312,10 +307,13 @@ fn online_install_recompiles_in_method_order() {
             (30, 0, false)
         ]
     );
-    s.vm_mut()
-        .call_static(run, &[Value::Int(txns)])
+    vm.call_static(run, &[Value::Int(txns)])
         .expect("warehouse 3");
-    assert_eq!(row(s.vm()), ONLINE);
+
+    let mut plain = Vm::new(w.program.clone(), harness_config(&w));
+    w.run(&mut plain).expect("runs");
+    assert_eq!(vm.state.output.checksum, plain.state.output.checksum);
+    assert_eq!(row(&vm), ONLINE);
 }
 
 /// Two identical tenants over one `SharedCodeCache`: the first misses on
