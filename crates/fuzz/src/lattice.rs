@@ -25,8 +25,8 @@
 pub enum Fault {
     /// No injector.
     None,
-    /// Transparent faults (forced GCs, IC bumps, silent recompiles) at
-    /// every allocation point, from this seed.
+    /// Transparent faults (forced GCs, silent recompiles) at every
+    /// allocation point, from this seed.
     Transparent(u64),
     /// Forced guard failures from this seed.
     GuardFail(u64),

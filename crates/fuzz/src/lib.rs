@@ -5,10 +5,10 @@
 //! Differential conformance fuzzer for the DCHM runtime: seeded generation
 //! of valid-by-construction hierarchy/state programs ([`gen`]), a lattice
 //! of VM configurations spanning tiers, mutation modes, cache capacities,
-//! tracing and fault injection ([`lattice`]), a multi-config oracle
+//! tracing and fault injection ([`lattice`](mod@lattice)), a multi-config oracle
 //! asserting bit-identical modeled observables at the strictness each
 //! config pairing is entitled to ([`oracle`]), and a greedy shrinker that
-//! minimizes any divergence to a small repro ([`shrink`]).
+//! minimizes any divergence to a small repro ([`shrink`](mod@shrink)).
 //!
 //! The `dchm-fuzz` binary drives seed ranges through the whole stack; the
 //! checked-in specs under `corpus/` replay known edge cases as ordinary

@@ -1,6 +1,6 @@
 //! The multi-config differential oracle: run one program + plan through
 //! every lattice entry and compare fingerprints at the strictness each
-//! pairing is entitled to (see [`crate::lattice`]).
+//! pairing is entitled to (see [`crate::lattice`](mod@crate::lattice)).
 
 use crate::lattice::{ConfigSpec, Fault, FleetMode};
 use dchm_core::MutationPlan;

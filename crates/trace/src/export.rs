@@ -74,12 +74,6 @@ fn args(ev: &TraceEvent) -> Value {
             ("block", int(block as u64)),
             ("op", int(op as u64)),
         ]),
-        TraceEvent::IcHit { method, site, sampled }
-        | TraceEvent::IcMiss { method, site, sampled } => obj(vec![
-            ("method", id(method)),
-            ("site", int(site as u64)),
-            ("sampled", int(sampled as u64)),
-        ]),
         TraceEvent::GcStart { used_bytes } => obj(vec![("used_bytes", int(used_bytes))]),
         TraceEvent::GcEnd { used_bytes, gc_cycles } => obj(vec![
             ("used_bytes", int(used_bytes)),

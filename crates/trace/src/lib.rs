@@ -5,9 +5,9 @@
 //! Structured event tracing for the DCHM VM: every mutation-lifecycle
 //! transition the paper's evaluation reasons about — TIB flips, state
 //! entries/exits, special compiles, guard failures and deoptimizations,
-//! inline-cache traffic, GC, adaptive samples, injected faults — becomes a
-//! typed [`TraceEvent`] stamped with the VM's *modeled* cycle clock and a
-//! monotone sequence number.
+//! GC, adaptive samples, injected faults — becomes a typed [`TraceEvent`]
+//! stamped with the VM's *modeled* cycle clock and a monotone sequence
+//! number.
 //!
 //! Design constraints, in order:
 //!
@@ -38,19 +38,12 @@ pub mod profile;
 /// Sentinel for "no method/object/code id applies to this event field".
 pub const NO_ID: u32 = u32::MAX;
 
-/// Inline-cache sampling period: one `IcHit`/`IcMiss` event stands
-/// for this many probes (IC traffic is orders of magnitude denser than
-/// every other event kind; unsampled it would evict everything else).
-pub const DEFAULT_IC_SAMPLE_PERIOD: u32 = 64;
-
 /// Which fault the injector fired (mirrors `dchm-vm`'s injector actions
 /// without depending on that crate).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// An injected (cycle-transparent) garbage collection.
     Gc,
-    /// An injected global inline-cache version bump.
-    IcBump,
     /// An injected silent recompilation of the running method.
     Recompile,
     /// A state guard forced to fail despite the state holding.
@@ -146,26 +139,6 @@ pub enum TraceEvent {
         block: u32,
         /// Resume op index.
         op: u32,
-    },
-    /// Sampled inline-cache hits (interface call sites, the only ones
-    /// with a cache): one event per `sampled` probes.
-    IcHit {
-        /// Method whose call site probed the cache (the caller).
-        method: u32,
-        /// Call-site id within that method.
-        site: u32,
-        /// Number of hits this event stands for.
-        sampled: u32,
-    },
-    /// Sampled inline-cache misses (interface call sites): one event per
-    /// `sampled` probes.
-    IcMiss {
-        /// Method whose call site probed the cache (the caller).
-        method: u32,
-        /// Call-site id within that method.
-        site: u32,
-        /// Number of misses this event stands for.
-        sampled: u32,
     },
     /// A (billed) garbage collection began.
     GcStart {
@@ -283,8 +256,6 @@ impl TraceEvent {
             TraceEvent::GuardFail { .. } => "GuardFail",
             TraceEvent::Deopt { .. } => "Deopt",
             TraceEvent::BaselineResume { .. } => "BaselineResume",
-            TraceEvent::IcHit { .. } => "IcHit",
-            TraceEvent::IcMiss { .. } => "IcMiss",
             TraceEvent::GcStart { .. } => "GcStart",
             TraceEvent::GcEnd { .. } => "GcEnd",
             TraceEvent::Sample { .. } => "Sample",
@@ -310,7 +281,6 @@ impl TraceEvent {
             TraceEvent::GuardFail { .. }
             | TraceEvent::Deopt { .. }
             | TraceEvent::BaselineResume { .. } => "deopt",
-            TraceEvent::IcHit { .. } | TraceEvent::IcMiss { .. } => "ic",
             TraceEvent::GcStart { .. } | TraceEvent::GcEnd { .. } => "gc",
             TraceEvent::Sample { .. } => "adaptive",
             TraceEvent::FaultInjected { .. } => "fault",
@@ -330,8 +300,6 @@ impl TraceEvent {
             | TraceEvent::GuardFail { method, .. }
             | TraceEvent::Deopt { method, .. }
             | TraceEvent::BaselineResume { method, .. }
-            | TraceEvent::IcHit { method, .. }
-            | TraceEvent::IcMiss { method, .. }
             | TraceEvent::Sample { method, .. }
             | TraceEvent::FaultInjected { method, .. }
             | TraceEvent::CodeCacheHit { method, .. }
@@ -444,14 +412,12 @@ impl TraceBuffer {
 }
 
 /// The VM-side tracing front end: an optional ring plus the sequence
-/// counter and the inline-cache sampling state. Lives inside `VmState`;
-/// every emission site is gated on [`Tracer::on`], so a detached tracer
-/// costs the fast path exactly one predictable branch.
+/// counter. Lives inside `VmState`; every emission site is gated on
+/// [`Tracer::on`], so a detached tracer costs the fast path exactly one
+/// predictable branch.
 pub struct Tracer {
     sink: Option<TraceBuffer>,
     seq: u64,
-    pending_ic_hits: u32,
-    pending_ic_misses: u32,
 }
 
 impl Default for Tracer {
@@ -473,12 +439,7 @@ impl Tracer {
     /// A detached tracer — the default; emission sites reduce to one
     /// branch.
     pub fn off() -> Self {
-        Tracer {
-            sink: None,
-            seq: 0,
-            pending_ic_hits: 0,
-            pending_ic_misses: 0,
-        }
+        Tracer { sink: None, seq: 0 }
     }
 
     /// A tracer recording into a fresh ring of `capacity` events.
@@ -510,37 +471,6 @@ impl Tracer {
             let seq = self.seq;
             self.seq += 1;
             sink.record(Stamped { seq, cycle, event });
-        }
-    }
-
-    /// Counts an inline-cache hit; every
-    /// [`DEFAULT_IC_SAMPLE_PERIOD`]-th probe emits one
-    /// sampled [`TraceEvent::IcHit`] carrying the caller/site of the probe
-    /// that closed the window.
-    #[inline]
-    pub fn ic_hit(&mut self, cycle: u64, method: u32, site: u32) {
-        if self.sink.is_none() {
-            return;
-        }
-        self.pending_ic_hits += 1;
-        if self.pending_ic_hits >= DEFAULT_IC_SAMPLE_PERIOD {
-            let sampled = self.pending_ic_hits;
-            self.pending_ic_hits = 0;
-            self.emit(cycle, TraceEvent::IcHit { method, site, sampled });
-        }
-    }
-
-    /// Counts an inline-cache miss; sampled like [`Tracer::ic_hit`].
-    #[inline]
-    pub fn ic_miss(&mut self, cycle: u64, method: u32, site: u32) {
-        if self.sink.is_none() {
-            return;
-        }
-        self.pending_ic_misses += 1;
-        if self.pending_ic_misses >= DEFAULT_IC_SAMPLE_PERIOD {
-            let sampled = self.pending_ic_misses;
-            self.pending_ic_misses = 0;
-            self.emit(cycle, TraceEvent::IcMiss { method, site, sampled });
         }
     }
 
@@ -578,7 +508,6 @@ mod tests {
         let mut t = Tracer::off();
         assert!(!t.on());
         t.emit(1, ev(0));
-        t.ic_hit(1, 0, 0);
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 0);
     }
@@ -612,29 +541,6 @@ mod tests {
         let evs = t.events();
         assert!(evs.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(evs.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-    }
-
-    #[test]
-    fn ic_probes_are_sampled() {
-        let period = DEFAULT_IC_SAMPLE_PERIOD;
-        let mut t = Tracer::ring(16);
-        for _ in 0..2 * period + period / 2 {
-            t.ic_hit(1, 3, 0);
-        }
-        t.ic_miss(2, 3, 1);
-        let evs = t.events();
-        // 2.5 periods of hits -> 2 events; 1 miss -> below threshold.
-        assert_eq!(evs.len(), 2);
-        for e in &evs {
-            assert_eq!(
-                e.event,
-                TraceEvent::IcHit {
-                    method: 3,
-                    site: 0,
-                    sampled: period
-                }
-            );
-        }
     }
 
     #[test]

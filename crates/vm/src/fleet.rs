@@ -7,8 +7,8 @@
 //! `Rc`-backed program state) is not `Send` — each worker thread builds
 //! its jobs' VMs locally from the `Send + Sync` job description (program,
 //! plan, config). Everything modeled stays per-shard by construction:
-//! clock, stats, tracer ring, profiler, governor, local code cache and
-//! inline caches all live inside the shard's VM. The only cross-shard
+//! clock, stats, tracer ring, profiler, governor and local code cache all
+//! live inside the shard's VM. The only cross-shard
 //! object is the [`crate::codecache::SharedCodeCache`] a caller may attach
 //! to every shard's VM, and that is host-side only — which is exactly why
 //! a job's run inside any fleet is bit-identical to its solo run.

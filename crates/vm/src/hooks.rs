@@ -114,9 +114,6 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Inject full (mark-sweep) garbage collections at allocation points.
     pub gc_at_alloc: bool,
-    /// Inject global version bumps of the interface-site caches at
-    /// allocation points (nothing else empties them).
-    pub ic_bumps: bool,
     /// Inject silent same-level recompilation of the running method at
     /// allocation points.
     pub recompiles: bool,
@@ -143,7 +140,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             gc_at_alloc: true,
-            ic_bumps: true,
             recompiles: true,
             force_guard_fail: false,
             compile_fails: false,
@@ -158,7 +154,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             gc_at_alloc: false,
-            ic_bumps: false,
             recompiles: false,
             force_guard_fail: true,
             compile_fails: false,
@@ -173,7 +168,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             gc_at_alloc: false,
-            ic_bumps: false,
             recompiles: false,
             force_guard_fail: false,
             compile_fails: true,
@@ -189,8 +183,6 @@ impl FaultConfig {
 pub enum Fault {
     /// Run a garbage collection now.
     Gc,
-    /// Bump the global version of the interface-site caches.
-    IcBump,
     /// Recompile the currently-running method at its current level.
     Recompile,
     /// Report out-of-memory despite free heap.
@@ -209,8 +201,6 @@ pub struct FaultInjector {
     rng: u64,
     /// Number of GCs injected.
     pub gcs: u64,
-    /// Number of IC-version bumps injected.
-    pub ic_bumps: u64,
     /// Number of silent recompilations injected.
     pub recompiles: u64,
     /// Number of guards forced to fail.
@@ -230,7 +220,6 @@ impl FaultInjector {
             cfg,
             rng: cfg.seed,
             gcs: 0,
-            ic_bumps: 0,
             recompiles: 0,
             forced_guard_fails: 0,
             compile_fails: 0,
@@ -249,14 +238,10 @@ impl FaultInjector {
 
     /// Draws at an allocation point; returns the fault to inject, if any.
     pub fn at_alloc(&mut self) -> Option<Fault> {
-        let mut kinds = [Fault::Gc; 5];
+        let mut kinds = [Fault::Gc; 4];
         let mut n = 0usize;
         if self.cfg.gc_at_alloc {
             kinds[n] = Fault::Gc;
-            n += 1;
-        }
-        if self.cfg.ic_bumps {
-            kinds[n] = Fault::IcBump;
             n += 1;
         }
         if self.cfg.recompiles {
@@ -281,7 +266,6 @@ impl FaultInjector {
         let fault = kinds[(x / self.cfg.period) as usize % n];
         match fault {
             Fault::Gc => self.gcs += 1,
-            Fault::IcBump => self.ic_bumps += 1,
             Fault::Recompile => self.recompiles += 1,
             Fault::Oom => self.ooms += 1,
             Fault::Panic => self.panics += 1,
@@ -375,6 +359,6 @@ mod tests {
         assert!((0..100).all(|_| inj.at_alloc().is_none()));
         assert!((0..100).any(|_| inj.at_guard()));
         assert!(inj.forced_guard_fails > 0);
-        assert_eq!(inj.gcs + inj.ic_bumps + inj.recompiles, 0);
+        assert_eq!(inj.gcs + inj.recompiles, 0);
     }
 }

@@ -21,10 +21,10 @@
 //! reads its class TIB's entry ([`VmState::tib_slot`]), so a TIB flip is
 //! the whole cost of reaching specialized code. A static or `invokespecial`
 //! call (its target resolved once, at lowering) reads the JTOC: the
-//! mutation engine's override, else the method's general code. Only an
-//! interface call has a search to skip: each site memoizes its last IMT
-//! lookup keyed by receiver class ([`VmState::ic_lookup`]), and still reads
-//! the target through the receiver's TIB.
+//! mutation engine's override, else the method's general code. An
+//! interface call reads the receiver's IMT (one per class, shared by its
+//! special TIBs) for a TIB offset, then reads the target through the
+//! receiver's TIB like a virtual call.
 
 use crate::error::RunError;
 use crate::hooks::{MutationHandler, NoopHandler, VmObserver};
@@ -484,7 +484,7 @@ impl Vm {
                             };
                             let bound = match (inst, recv) {
                                 (Inst::CallVirtual { .. }, Some(r)) if cs.iface => {
-                                    self.dispatch_interface(method, cid, site, &cs, r)
+                                    self.dispatch_interface(method, cs.sel, r)
                                 }
                                 (Inst::CallVirtual { .. }, Some(r)) => {
                                     self.dispatch_virtual(r, cs.sel)
@@ -963,45 +963,36 @@ impl Vm {
         self.resolve_slot(tib, class, vslot)
     }
 
-    /// Interface dispatch through the class's IMT, whose search the site's
-    /// cache memoizes per receiver class; charges the deterministic extra
-    /// cycles (conflict search, mutable-class TIB-offset load) on every
-    /// call, then reads the slot through the receiver's TIB.
+    /// Interface dispatch: the receiver's IMT maps the selector to a TIB
+    /// offset, read through the receiver's TIB. Charges the conflict-stub
+    /// search and the mutable-class TIB-offset load on every call
+    /// (Sec. 3.2.3).
     fn dispatch_interface(
         &mut self,
         caller: MethodId,
-        cid: CompiledId,
-        site: u32,
-        cs: &CallSite,
+        sel: SelectorId,
         recv: ObjRef,
     ) -> Result<(MethodId, CompiledId), RunError> {
         let (tib, class) = {
             let o = self.state.heap.try_object(recv)?;
             (o.tib, o.class)
         };
-        let (vslot, conflicted) = match self.state.ic_lookup(cid, site, cs.target, class) {
+        let imt = self.state.tibs[tib.index()].imt as usize;
+        let (vslot, conflicted) = match self.state.imts[imt].lookup(sel) {
             Some(hit) => hit,
-            None => {
-                let imt = self.state.tibs[tib.index()].imt as usize;
-                let found = match self.state.imts[imt].lookup(cs.sel) {
-                    Some(hit) => hit,
-                    // Robust fallback through the vtable mapping.
-                    None => match self.state.vtable_slot_fast(class, cs.sel) {
-                        Some(v) => (v, false),
-                        None => {
-                            return Err(RunError::NoSuchMethod {
-                                what: format!(
-                                    "interface {} on {}",
-                                    self.state.program.selector_name(cs.sel),
-                                    self.state.program.class(class).name
-                                ),
-                            })
-                        }
-                    },
-                };
-                self.state.ic_store(cid, cs.target, class, found.0, found.1);
-                found
-            }
+            // Robust fallback through the vtable mapping.
+            None => match self.state.vtable_slot_fast(class, sel) {
+                Some(v) => (v, false),
+                None => {
+                    return Err(RunError::NoSuchMethod {
+                        what: format!(
+                            "interface {} on {}",
+                            self.state.program.selector_name(sel),
+                            self.state.program.class(class).name
+                        ),
+                    })
+                }
+            },
         };
         let mut extra = 0;
         if conflicted {

@@ -16,7 +16,7 @@
 //! [`LinearCode::prefix`] holds, for every pc, what a flush *at that pc*
 //! charges; only traps, failing guards and over-wide segments read it.
 //!
-//! *Fused forms.* One peephole ([`fuse`]) rewrites, in place, the first slot
+//! *Fused forms.* One peephole (`fuse`) rewrites, in place, the first slot
 //! of a group of adjacent instructions into a variant that executes the whole
 //! group in one dispatch and steps over the rest. The other slots keep their
 //! instruction and nothing moves, so pcs, costs, `prefix` and the pools are
@@ -142,9 +142,8 @@ pub struct CallSite {
     /// Selector (unused by static calls).
     pub sel: SelectorId,
     /// Target method of a static or special call ([`UNRESOLVED`] when an
-    /// `invokespecial` resolves to nothing); for an interface call, its
-    /// index among the code's interface sites, which keys the per-site
-    /// IMT-search cache.
+    /// `invokespecial` resolves to nothing); 0 for a virtual or interface
+    /// call, whose target the receiver's TIB supplies.
     pub target: u32,
     /// Argument registers: a range of [`LinearCode::args`].
     pub args: (u32, u32),
@@ -226,7 +225,6 @@ pub fn lower(func: &Function, program: &Program, resume: &[DeoptPoint]) -> Linea
     let mut prefix = Vec::with_capacity(total);
     let mut l = LinearCode { num_regs: func.num_regs, ..Default::default() };
     l.calls.reserve_exact(sites as usize);
-    let mut ifaces = 0;
     for (i, (b, from)) in main.chain(tails).enumerate() {
         let block = &func.blocks[b];
         // Tails reuse the call sites the main body registered.
@@ -290,11 +288,9 @@ pub fn lower(func: &Function, program: &Program, resume: &[DeoptPoint]) -> Linea
                 _ => {
                     let cost = fold(seg);
                     let (inst, dst, obj, sel, target, args) = match op {
-                        Op::CallVirtual { dst, sel, obj, args } => {
+                        Op::CallVirtual { dst, sel, obj, args }
+                        | Op::CallInterface { dst, sel, obj, args, .. } => {
                             (Inst::CallVirtual { site, cost }, dst, *obj, *sel, 0, args)
-                        }
-                        Op::CallInterface { dst, sel, obj, args, .. } => {
-                            (Inst::CallVirtual { site, cost }, dst, *obj, *sel, ifaces, args)
                         }
                         Op::CallSpecial { dst, class, sel, obj, args } => {
                             let target = program.resolve_special(*class, *sel);
@@ -312,7 +308,6 @@ pub fn lower(func: &Function, program: &Program, resume: &[DeoptPoint]) -> Linea
                         l.args.extend_from_slice(args);
                         let args = (at, l.args.len() as u32);
                         let iface = matches!(op, Op::CallInterface { .. });
-                        ifaces += u32::from(iface);
                         l.calls.push(CallSite { dst: *dst, obj, iface, sel, target, args });
                     }
                     seg = (0, 0);

@@ -60,30 +60,6 @@ pub enum CodeSlot {
 /// Sentinel for "no vtable slot" in the dense dispatch table.
 pub const NO_SITE: u32 = u32::MAX;
 
-/// One interface call site's memo of its IMT search: the vtable slot the
-/// selector resolved to for the last receiver class seen there, and whether
-/// the search went through a conflict stub. A class and its special TIBs
-/// share one IMT, so the search is a function of the class alone and no
-/// slot write can make an entry stale; the target itself is still read
-/// through the receiver's TIB on every call. `version` ties the entry to
-/// [`VmState::ic_version`], which only the fault injector's IC bump moves.
-#[derive(Clone, Copy, Debug)]
-pub struct IcEntry {
-    /// `ic_version` at fill time; a stale version means the entry is empty.
-    version: u64,
-    /// The receiver class this entry was filled for.
-    class: u32,
-    /// The vtable slot the selector resolves to on that class.
-    vslot: u32,
-    /// The search went through a conflict stub (charged on every call).
-    conflicted: bool,
-}
-
-impl IcEntry {
-    /// A never-filled entry (version 0 predates every `ic_version`).
-    pub const EMPTY: IcEntry = IcEntry { version: 0, class: 0, vslot: 0, conflicted: false };
-}
-
 /// One compiled method: the unit the optimizing compiler produces.
 #[derive(Clone, Debug)]
 pub struct CompiledMethod {
@@ -205,8 +181,7 @@ pub struct Frame {
     pub method: MethodId,
     /// Id of the executing code in the append-only [`VmState::code`] store.
     /// Pins the exact code version (frames keep old code across
-    /// recompilation; no on-stack replacement, as in the paper) and keys
-    /// the row of interface-site caches its calls read.
+    /// recompilation; no on-stack replacement, as in the paper).
     pub cid: CompiledId,
     /// First register slot of this frame's window in the pooled stack.
     pub base: usize,
@@ -304,13 +279,6 @@ pub struct VmState {
     /// slice of this vector (see [`Frame`]). Host re-entry simply allocates
     /// past the current top, so no free list is needed.
     pub reg_stack: Vec<Value>,
-    /// Per-compiled-method rows of interface-site caches, parallel to
-    /// `code`; indexed by an interface site's [`crate::linear::CallSite`]
-    /// `target`.
-    pub(crate) icaches: Vec<Vec<IcEntry>>,
-    /// Global interface-cache generation, bumped only by an injected IC
-    /// bump; entries with an older version are treated as empty.
-    pub(crate) ic_version: u64,
     /// Flattened `class x selector -> vtable slot` table
     /// (`[class * num_selectors + selector]`, [`NO_SITE`] = absent);
     /// replaces the per-class hash lookup on the dispatch miss path.
@@ -489,8 +457,6 @@ impl VmState {
             residency: ResidencyTracker::default(),
             frames: Vec::new(),
             reg_stack: Vec::new(),
-            icaches: Vec::new(),
-            ic_version: 1,
             vslot_dense,
             num_selectors,
             output: Output::default(),
@@ -822,11 +788,11 @@ impl VmState {
         lift_cache.get_or_lift(mid.0, env_fp, || compiler::lift_baseline(&env, mid))
     }
 
-    /// Appends a compiled artifact (and its interface-cache row) to the
-    /// code store. No billing, no trace. The artifact's `Arc`s are adopted
-    /// as-is — for a shared-cache hit that means zero copies of the function
-    /// body or its lowered code; the per-VM cache row and governor verdict
-    /// cache (`blocked_until`) stay private to this tenant.
+    /// Appends a compiled artifact to the code store. No billing, no trace.
+    /// The artifact's `Arc`s are adopted as-is — for a shared-cache hit that
+    /// means zero copies of the function body or its lowered code; the
+    /// governor verdict cache (`blocked_until`) stays private to this
+    /// tenant.
     fn push_artifact(
         &mut self,
         mid: MethodId,
@@ -836,8 +802,6 @@ impl VmState {
         a: SharedArtifact,
     ) -> CompiledId {
         let cid = CompiledId(self.code.len() as u32);
-        let ifaces = a.lin.calls.iter().filter(|c| c.iface).count();
-        self.icaches.push(vec![IcEntry::EMPTY; ifaces]);
         self.code.push(CompiledMethod {
             method: mid,
             level,
@@ -1162,68 +1126,6 @@ impl VmState {
     // Dispatch helpers
     // ---------------------------------------------------------------
 
-    /// Empties every interface-site cache in O(1) by bumping the global
-    /// generation — the fault injector's IC bump.
-    fn invalidate_inline_caches(&mut self) {
-        self.ic_version += 1;
-        self.stats.ic_invalidations += 1;
-    }
-
-    /// Probes interface call site `site` (cache `row` of compiled method
-    /// `cid`) for receiver class `class`. On a hit returns the memoized
-    /// `(vslot, conflicted)` of the IMT search.
-    #[inline]
-    pub(crate) fn ic_lookup(
-        &mut self,
-        cid: CompiledId,
-        site: u32,
-        row: u32,
-        class: ClassId,
-    ) -> Option<(u32, bool)> {
-        let e = self.icaches[cid.index()][row as usize];
-        if e.version == self.ic_version && e.class == class.0 {
-            self.stats.ic_hits += 1;
-            if self.tracer.on() {
-                self.trace_ic(cid, site, true);
-            }
-            Some((e.vslot, e.conflicted))
-        } else {
-            self.stats.ic_misses += 1;
-            if self.tracer.on() {
-                self.trace_ic(cid, site, false);
-            }
-            None
-        }
-    }
-
-    /// IC event emission, out of line: `ic_lookup` is the dispatch fast
-    /// path and must carry only the `on()` test when tracing is off.
-    #[cold]
-    fn trace_ic(&mut self, cid: CompiledId, site: u32, hit: bool) {
-        let caller = self.code[cid.index()].method.0;
-        if hit {
-            self.tracer.ic_hit(self.clock, caller, site);
-        } else {
-            self.tracer.ic_miss(self.clock, caller, site);
-        }
-    }
-
-    /// Fills interface-site cache `row` of compiled method `cid` after an
-    /// IMT search.
-    #[inline]
-    pub(crate) fn ic_store(
-        &mut self,
-        cid: CompiledId,
-        row: u32,
-        class: ClassId,
-        vslot: u32,
-        conflicted: bool,
-    ) {
-        let version = self.ic_version;
-        self.icaches[cid.index()][row as usize] =
-            IcEntry { version, class: class.0, vslot, conflicted };
-    }
-
     /// Dense `class x selector -> vtable slot` lookup.
     #[inline]
     pub fn vtable_slot_fast(&self, class: ClassId, sel: SelectorId) -> Option<u32> {
@@ -1440,8 +1342,6 @@ impl VmState {
     ///
     /// * an injected GC is a real mark-sweep over the real root set but
     ///   leaves the clock and GC stats untouched;
-    /// * an IC bump empties the interface-site caches, which are a
-    ///   host-side memo with no modeled cost;
     /// * an injected recompile regenerates the running method's general
     ///   code and puts it where the old code sat, without billing compile
     ///   cycles, touching the profile or queueing a recompilation event —
@@ -1465,7 +1365,6 @@ impl VmState {
         if self.tracer.on() {
             let kind = match fault {
                 Fault::Gc => FaultKind::Gc,
-                Fault::IcBump => FaultKind::IcBump,
                 Fault::Recompile => FaultKind::Recompile,
                 Fault::Oom => FaultKind::OomAtAlloc,
                 Fault::Panic => FaultKind::PanicAtOp,
@@ -1477,7 +1376,6 @@ impl VmState {
             Fault::Gc => {
                 let _ = self.collect();
             }
-            Fault::IcBump => self.invalidate_inline_caches(),
             Fault::Recompile => {
                 let Some(fr) = self.frames.last() else { return Ok(()) };
                 let mid = fr.method;

@@ -78,15 +78,13 @@ pub struct VmStats {
     /// changed a slot or override (a write of the value already there is
     /// not made, so not counted).
     pub code_patches: u64,
-    /// Interface call sites whose IMT search was memoized for the
-    /// receiver's class (host-side; no effect on modeled cycles). Virtual,
-    /// static and special sites have no cache and count nothing.
+    /// Always 0: no call site caches anything (an interface call reads the
+    /// IMT). Kept only because `benchmark/` reads it; ROADMAP item 13
+    /// deletes it with that read.
     pub ic_hits: u64,
-    /// Interface call sites that searched the IMT (empty, stale-generation
-    /// or other-class entries).
+    /// Always 0; kept only for the benchmark's read, like `ic_hits`.
     pub ic_misses: u64,
-    /// Global interface-cache invalidations: the fault injector's IC bumps,
-    /// the one thing that empties the caches.
+    /// Always 0; kept only for the benchmark's read, like `ic_hits`.
     pub ic_invalidations: u64,
     /// State guards executed in specialized code (passing or failing).
     pub guards_executed: u64,
@@ -168,10 +166,10 @@ impl VmStats {
 }
 
 impl fmt::Display for VmStats {
-    /// A stable eight-row summary table (the bench bins' standard dump):
-    /// cycles, ops, compiles, TIB/mutation work, inline caches, the
-    /// compiled-code cache, guards, the resilience governor. Layout and
-    /// field order are part of the output contract — scripts may grep it.
+    /// A stable seven-row summary table (the bench bins' standard dump):
+    /// cycles, ops, compiles, TIB/mutation work, the compiled-code cache,
+    /// guards, the resilience governor. Layout and field order are part of
+    /// the output contract — scripts may grep it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let total = self.total_cycles();
         let pct = |part: u64| {
@@ -217,11 +215,6 @@ impl fmt::Display for VmStats {
             self.special_tib_bytes,
             self.tib_flips,
             self.code_patches
-        )?;
-        writeln!(
-            f,
-            "icache    hits {}  misses {}  invalidations {}",
-            self.ic_hits, self.ic_misses, self.ic_invalidations
         )?;
         writeln!(
             f,
@@ -294,7 +287,7 @@ mod tests {
         assert!(text.contains("codecache hits 0  misses 0  evictions 0  invalidations 0"));
         assert!(text.contains("guards    executed 0"));
         assert!(text.contains("governor  throttled 0  blacklisted 0  compile failures 0  quarantines 0"));
-        assert_eq!(text.lines().count(), 8);
+        assert_eq!(text.lines().count(), 7);
 
         let p = MethodProfile { invocations: 4, level: Some(2), ..Default::default() };
         let line = p.to_string();

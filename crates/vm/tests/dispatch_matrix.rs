@@ -137,14 +137,19 @@ fn imt_conflicts_resolve_by_search() {
     for i in 0..n_methods {
         pb.abstract_method(iface, &format!("m{i}"), MethodSig::new(vec![], Some(Ty::Int)));
     }
-    let c = pb.class("Impl").implements(iface).build();
-    pb.trivial_ctor(c);
-    for i in 0..n_methods {
-        let mut m = pb.method(c, &format!("m{i}"), MethodSig::new(vec![], Some(Ty::Int)));
-        let r = m.imm(i as i64 * 10);
-        m.ret(Some(r));
-        m.build();
-    }
+    // Two implementations, so one interface site can alternate receivers.
+    let impls = ["Impl", "Alt"].map(|name| {
+        let c = pb.class(name).implements(iface).build();
+        pb.trivial_ctor(c);
+        for i in 0..n_methods {
+            let mut m = pb.method(c, &format!("m{i}"), MethodSig::new(vec![], Some(Ty::Int)));
+            let r = m.imm(i as i64 * 10);
+            m.ret(Some(r));
+            m.build();
+        }
+        c
+    });
+    let c = impls[0];
     let mut m = pb.static_method(c, "main", MethodSig::new(vec![], Some(Ty::Int)));
     let o = m.reg();
     m.new_init(o, c, vec![]);
@@ -158,11 +163,51 @@ fn imt_conflicts_resolve_by_search() {
     m.ret(Some(acc));
     let main = m.build();
     pb.set_entry(main);
+    // One interface site each for a selector alone in its IMT slot and for
+    // one that shares its slot (a conflict stub).
+    let slots: Vec<u32> =
+        (0..n_methods).map(|i| pb.selector(&format!("m{i}")).0 % IMT_SLOTS as u32).collect();
+    let shares = |i: usize| slots.iter().filter(|&&s| s == slots[i]).count() > 1;
+    let sites = [false, true].map(|conflicted| {
+        let i = (0..n_methods).find(|&i| shares(i) == conflicted).unwrap();
+        let sig = MethodSig::new(vec![Ty::Ref(iface)], Some(Ty::Int));
+        let mut m = pb.static_method(c, &format!("call{i}"), sig);
+        let (o, t) = (m.param(0), m.reg());
+        m.call_interface(Some(t), iface, o, &format!("m{i}"), vec![]);
+        m.ret(Some(t));
+        m.build()
+    });
     let p = pb.finish().unwrap();
-
-    let mut vm = Vm::new(p, VmConfig::default());
+    // No promotion: every site runs the same code throughout.
+    let cfg = VmConfig { opt1_samples: u64::MAX, opt2_samples: u64::MAX, ..VmConfig::default() };
+    let mut vm = Vm::new(p, cfg);
     let expected: i64 = (0..n_methods as i64).map(|i| i * 10).sum();
     assert_eq!(vm.run_entry().unwrap(), Some(Value::Int(expected)));
+
+    // The modeled cost of one call at a site whose receiver alternates
+    // between the two classes is the same for every call, and exactly 6
+    // more behind a conflict stub and 1 more on a mutable class.
+    // Nothing allocates from here on, so the receivers need no root.
+    let recvs = impls.map(|c| Value::Ref(vm.state.alloc_object(c).unwrap()));
+    let per_call = |vm: &mut Vm, site| {
+        let costs: Vec<u64> = (0..18)
+            .map(|k| {
+                let before = vm.state.clock;
+                vm.call_static(site, &[recvs[k % 2]]).unwrap();
+                vm.state.clock - before
+            })
+            .skip(2) // the first call with each receiver compiles
+            .collect();
+        assert!(costs.iter().all(|&c| c == costs[0]), "per-call cycles vary: {costs:?}");
+        costs[0]
+    };
+    let plain = per_call(&mut vm, sites[0]);
+    assert_eq!(per_call(&mut vm, sites[1]), plain + 6, "conflict-stub search");
+    for c in impls {
+        vm.state.mark_mutable_class(c);
+    }
+    assert_eq!(per_call(&mut vm, sites[0]), plain + 1, "TIB-offset load");
+    assert_eq!(per_call(&mut vm, sites[1]), plain + 6 + 1);
 }
 
 #[test]

@@ -60,9 +60,9 @@ fn check_workload(name: &str) {
     assert!(reference.clock > 0);
 
     for seed in seeds() {
-        // Transparent faults: GC at allocations, IC bumps, silent
-        // recompiles — at *every* allocation point (period 1), the most
-        // hostile schedule. Fingerprint must not move at all.
+        // Transparent faults: GC at allocations and silent recompiles — at
+        // *every* allocation point (period 1), the most hostile schedule.
+        // Fingerprint must not move at all.
         let cfg = FaultConfig {
             period: 1,
             ..FaultConfig::transparent(seed)
@@ -70,7 +70,7 @@ fn check_workload(name: &str) {
         let vm = run_mutated(&w, Some(FaultInjector::new(cfg)), true);
         let inj = vm.state.injector.as_ref().expect("injector survives");
         assert!(
-            inj.gcs + inj.ic_bumps + inj.recompiles > 0,
+            inj.gcs + inj.recompiles > 0,
             "{name}: seed {seed} injected nothing — the sweep proves nothing"
         );
         let got = observe(&vm);
@@ -79,8 +79,8 @@ fn check_workload(name: &str) {
                 &vm,
                 format!(
                     "{name}: transparent fault injection (seed {seed}) perturbed the run \
-                     ({} gcs, {} ic bumps, {} recompiles injected)\n got: {got:?}\n ref: {reference:?}",
-                    inj.gcs, inj.ic_bumps, inj.recompiles
+                     ({} gcs, {} recompiles injected)\n got: {got:?}\n ref: {reference:?}",
+                    inj.gcs, inj.recompiles
                 ),
             );
         }

@@ -255,8 +255,7 @@ fn is_new_fused_form(inst: &Inst) -> bool {
 }
 
 /// class C { static int id(int x) { return x; }  static int f(int, int) }
-/// `f` is a stub whose code [`install`] replaces with a hand-built function
-/// of at most one call site (the stub's own sizes the inline cache).
+/// `f` is a stub whose code [`install`] replaces with a hand-built function.
 fn stub_program() -> (Program, MethodId, MethodId) {
     let mut pb = ProgramBuilder::new();
     let c = pb.class("C").build();
@@ -764,7 +763,6 @@ fn silent_recompile_at_an_allocation_keeps_the_live_frame_on_its_code() {
             vm.state.injector = Some(FaultInjector::new(FaultConfig {
                 recompiles: true,
                 gc_at_alloc: false,
-                ic_bumps: false,
                 period: 1,
                 ..FaultConfig::transparent(1)
             }));

@@ -291,7 +291,6 @@ fn injected_panic_is_contained_and_poisons_the_vm() {
     let mut vm = attach_plan(&p, plan, VmConfig::default());
     vm.state.injector = Some(FaultInjector::new(FaultConfig {
         gc_at_alloc: false,
-        ic_bumps: false,
         recompiles: false,
         panic_at_op: true,
         period: 5,
@@ -315,7 +314,6 @@ fn injected_oom_reports_out_of_memory() {
     let mut vm = attach_plan(&p, plan, VmConfig::default());
     vm.state.injector = Some(FaultInjector::new(FaultConfig {
         gc_at_alloc: false,
-        ic_bumps: false,
         recompiles: false,
         oom_at_alloc: true,
         period: 5,
@@ -334,7 +332,6 @@ fn a_trapped_vm_accepts_an_online_install_and_runs_again() {
     let mut vm = Vm::new(p.clone(), VmConfig::default());
     vm.state.injector = Some(FaultInjector::new(FaultConfig {
         gc_at_alloc: false,
-        ic_bumps: false,
         recompiles: false,
         oom_at_alloc: true,
         period: 5,

@@ -241,7 +241,7 @@ fn tracing_is_transparent_under_fault_injection() {
     assert_eq!(observe(&vm), reference, "trace+inject perturbed SalaryDB");
 
     let inj = vm.state.injector.as_ref().expect("injector survives");
-    let injected = inj.gcs + inj.ic_bumps + inj.recompiles;
+    let injected = inj.gcs + inj.recompiles;
     assert!(injected > 0, "the schedule must have injected something");
     let traced_faults = vm
         .trace_events()

@@ -514,7 +514,6 @@ fn injected_recompiles_keep_a_static_only_class_special() {
         let mut vm = attach_plan(&p, plan.clone(), VmConfig::default());
         vm.state.injector = Some(FaultInjector::new(FaultConfig {
             gc_at_alloc: false,
-            ic_bumps: false,
             recompiles,
             period: 5,
             ..FaultConfig::transparent(0)

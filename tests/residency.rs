@@ -181,7 +181,6 @@ fn injected_collections_leave_no_phantom_stays() {
         vm.state.injector = Some(FaultInjector::new(FaultConfig {
             seed: 7,
             gc_at_alloc: true,
-            ic_bumps: false,
             recompiles: false,
             force_guard_fail: false,
             compile_fails: false,
