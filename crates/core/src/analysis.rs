@@ -23,6 +23,15 @@ use dchm_bytecode::{
 use dchm_profile::{HotMethodReport, ValueReport};
 use std::collections::HashMap;
 
+// Sec. 3.1 gives no value for the three caps below; they are the ones every
+// figure was measured with.
+/// Cap on state fields per class (highest scores win).
+const MAX_STATE_FIELDS_PER_CLASS: usize = 3;
+/// Cap on hot values considered per field.
+const MAX_VALUES_PER_FIELD: usize = 4;
+/// Minimum relative frequency for a sampled value to count as hot.
+const MIN_VALUE_FREQUENCY: f64 = 0.05;
+
 /// Analysis tunables.
 #[derive(Clone, Debug)]
 pub struct AnalysisConfig {
@@ -32,20 +41,12 @@ pub struct AnalysisConfig {
     pub min_score: f64,
     /// A method is "hot" if its cycle share reaches this fraction.
     pub min_method_hotness: f64,
-    /// Cap on state fields per class (highest scores win).
-    pub max_state_fields_per_class: usize,
-    /// Cap on hot values considered per field.
-    pub max_values_per_field: usize,
     /// Cap on hot states per class (highest frequencies win).
     pub max_hot_states_per_class: usize,
-    /// Minimum relative frequency for a value to count as hot.
-    pub min_value_frequency: f64,
     /// Level at which special code is generated (the paper: opt2).
     pub mutation_level: u8,
     /// `k` of the Section 5 inline-vs-specialize heuristic.
     pub k: i64,
-    /// Plant state guards + deopt side tables in special compiled code.
-    pub emit_guards: bool,
 }
 
 impl Default for AnalysisConfig {
@@ -54,13 +55,9 @@ impl Default for AnalysisConfig {
             r: 1.0,
             min_score: 0.008,
             min_method_hotness: 0.004,
-            max_state_fields_per_class: 3,
-            max_values_per_field: 4,
             max_hot_states_per_class: 8,
-            min_value_frequency: 0.05,
             mutation_level: 2,
             k: 0,
-            emit_guards: true,
         }
     }
 }
@@ -298,7 +295,7 @@ pub(crate) fn plan_from_scores(
 
     let mut classes = Vec::new();
     for (class, mut fields) in by_class {
-        fields.truncate(cfg.max_state_fields_per_class);
+        fields.truncate(MAX_STATE_FIELDS_PER_CLASS);
 
         // Hot values per field, from the sampling histograms:
         // (field, is_static, ranked (value, frequency) pairs).
@@ -312,8 +309,8 @@ pub(crate) fn plan_from_scores(
             let vals: Vec<(Value, f64)> = hist
                 .ranked()
                 .into_iter()
-                .filter(|(v, freq)| *freq >= cfg.min_value_frequency && !v.is_reference())
-                .take(cfg.max_values_per_field)
+                .filter(|(v, freq)| *freq >= MIN_VALUE_FREQUENCY && !v.is_reference())
+                .take(MAX_VALUES_PER_FIELD)
                 .collect();
             if vals.is_empty() {
                 continue;
@@ -398,7 +395,7 @@ pub(crate) fn plan_from_scores(
         classes,
         mutation_level: cfg.mutation_level,
         k: cfg.k,
-        emit_guards: cfg.emit_guards,
+        emit_guards: true,
     }
 }
 

@@ -34,30 +34,25 @@ use crate::plan::{HotState, MutableClass, MutationPlan};
 use dchm_bytecode::{FieldId, Instr, MethodKind, Op, Program, Reg, Ty, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Tunables for [`synthesize_plan`].
+// The two caps below are the ones the fuzzer's lattice has run with since
+// it was written.
+/// Per-class cap on instance state fields (lowest field ids win).
+const MAX_STATE_FIELDS: usize = 2;
+/// Per-class hot-state cap, primary included (as
+/// `AnalysisConfig::max_hot_states_per_class`).
+const MAX_STATES: usize = 4;
+
+/// Tunables for [`synthesize_plan`]. Synthesized plans always plant state
+/// guards and derive static-state classes (class-TIB specialization).
 #[derive(Clone, Debug)]
 pub struct SynthConfig {
     /// Optimization level at which special code is generated.
     pub mutation_level: u8,
-    /// Plant state guards in special code (the safe default).
-    pub emit_guards: bool,
-    /// Per-class cap on instance state fields (lowest field ids win).
-    pub max_state_fields: usize,
-    /// Per-class hot-state cap, primary included (as `AnalysisConfig::max_hot_states_per_class`).
-    pub max_states: usize,
-    /// Also derive static-state classes (class-TIB specialization).
-    pub include_statics: bool,
 }
 
 impl Default for SynthConfig {
     fn default() -> Self {
-        SynthConfig {
-            mutation_level: 2,
-            emit_guards: true,
-            max_state_fields: 2,
-            max_states: 4,
-            include_statics: true,
-        }
+        SynthConfig { mutation_level: 2 }
     }
 }
 
@@ -201,26 +196,24 @@ pub fn synthesize_plan(p: &Program, cfg: &SynthConfig) -> MutationPlan {
             });
         }
         let instance_state_fields: Vec<FieldId> =
-            primary.keys().copied().take(cfg.max_state_fields).collect();
+            primary.keys().copied().take(MAX_STATE_FIELDS).collect();
         primary.retain(|f, _| instance_state_fields.contains(f));
 
         // Static state: this class's static int fields that its own
         // methods read; primary binding is the declared initial value.
         let mut static_primary: BTreeMap<FieldId, i64> = BTreeMap::new();
-        if cfg.include_statics {
-            let read_by_self = |f: FieldId| {
-                c.methods.iter().any(|&m| {
-                    p.method(m).code.iter().any(|i| {
-                        matches!(i, Instr::Op(Op::GetStatic { field, .. }) if *field == f)
-                    })
+        let read_by_self = |f: FieldId| {
+            c.methods.iter().any(|&m| {
+                p.method(m).code.iter().any(|i| {
+                    matches!(i, Instr::Op(Op::GetStatic { field, .. }) if *field == f)
                 })
-            };
-            for &f in &c.fields {
-                let fd = p.field(f);
-                if fd.is_static && is_state_ty(p, f) && read_by_self(f) {
-                    if let Value::Int(v) = fd.initial {
-                        static_primary.insert(f, v);
-                    }
+            })
+        };
+        for &f in &c.fields {
+            let fd = p.field(f);
+            if fd.is_static && is_state_ty(p, f) && read_by_self(f) {
+                if let Value::Int(v) = fd.initial {
+                    static_primary.insert(f, v);
                 }
             }
         }
@@ -265,7 +258,7 @@ pub fn synthesize_plan(p: &Program, cfg: &SynthConfig) -> MutationPlan {
 
         // Hot states: the primary (ctor constants + static initials),
         // then one variant per alternate observed value, single-field
-        // substitution, in (field, value) order, capped at max_states.
+        // substitution, in (field, value) order, capped at `MAX_STATES`.
         let base_instance: Vec<(FieldId, Value)> = primary
             .iter()
             .map(|(&f, &v)| (f, Value::Int(v)))
@@ -294,7 +287,7 @@ pub fn synthesize_plan(p: &Program, cfg: &SynthConfig) -> MutationPlan {
                 if v == primary_v {
                     continue;
                 }
-                if hot_states.len() >= cfg.max_states {
+                if hot_states.len() >= MAX_STATES {
                     break 'outer;
                 }
                 let subst = |vec: &[(FieldId, Value)]| {
@@ -313,7 +306,7 @@ pub fn synthesize_plan(p: &Program, cfg: &SynthConfig) -> MutationPlan {
                     } else {
                         subst(&base_static)
                     },
-                    frequency: 1.0 / cfg.max_states as f64,
+                    frequency: 1.0 / MAX_STATES as f64,
                 });
             }
         }
@@ -332,7 +325,7 @@ pub fn synthesize_plan(p: &Program, cfg: &SynthConfig) -> MutationPlan {
         classes,
         mutation_level: cfg.mutation_level,
         k: 0,
-        emit_guards: cfg.emit_guards,
+        emit_guards: true,
     }
 }
 
@@ -483,14 +476,8 @@ mod tests {
         m.ret(Some(acc));
         m.build();
         let p = pb.finish().unwrap();
-        let plan = synthesize_plan(
-            &p,
-            &SynthConfig {
-                max_state_fields: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(plan.classes[0].instance_state_fields.len(), 2);
-        assert_eq!(plan.classes[0].hot_states[0].instance_values.len(), 2);
+        let plan = synthesize_plan(&p, &SynthConfig::default());
+        assert_eq!(plan.classes[0].instance_state_fields.len(), MAX_STATE_FIELDS);
+        assert_eq!(plan.classes[0].hot_states[0].instance_values.len(), MAX_STATE_FIELDS);
     }
 }

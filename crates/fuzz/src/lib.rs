@@ -28,17 +28,13 @@ pub use shrink::shrink;
 
 use dchm_core::{synthesize_plan, MutationPlan, SynthConfig};
 
-/// The synthesis tunables every lattice run shares. `mutation_level` and
-/// `emit_guards` here are placeholders — [`oracle::run_config`] overrides
-/// both per configuration.
+/// The synthesis tunables every lattice run shares: only `mutation_level`
+/// is left, and its 0 is a placeholder that [`oracle::run_config`]
+/// overrides per mutation-on configuration. Plans built from it outside the
+/// lattice (the benchmark's `short_programs`) keep the 0: special code at
+/// opt0.
 pub fn synth_config() -> SynthConfig {
-    SynthConfig {
-        mutation_level: 0,
-        emit_guards: true,
-        max_state_fields: 2,
-        max_states: 4,
-        include_statics: true,
-    }
+    SynthConfig { mutation_level: 0 }
 }
 
 /// Lowers a spec and synthesizes its shared mutation plan.

@@ -118,12 +118,8 @@ pub struct CompileEnv<'a> {
     pub hints: &'a CompilerHints,
     /// Selector -> unique implementation map for CHA-style devirtualization.
     pub unique_impl: &'a HashMap<SelectorId, MethodId>,
-    /// `VmConfig::enable_inlining`.
-    pub enable_inlining: bool,
     /// `VmConfig::max_inline_size`.
     pub max_inline_size: usize,
-    /// `VmConfig::max_inline_depth`.
-    pub max_inline_depth: usize,
 }
 
 impl<'a> CompileEnv<'a> {
@@ -134,18 +130,17 @@ impl<'a> CompileEnv<'a> {
             patch_spec: &state.patch_spec,
             hints: &state.hints,
             unique_impl: &state.unique_impl,
-            enable_inlining: state.config.enable_inlining,
             max_inline_size: state.config.max_inline_size,
-            max_inline_depth: state.config.max_inline_depth,
         }
     }
 
     /// FNV-1a fingerprint of every compiler input that can change what code
     /// a given `(method, level, bindings)` request produces: the patch
     /// spec, the hints (OLC tables, Section 5 parameters, guard emission)
-    /// and the inlining configuration. Hash-map contents are folded in
-    /// sorted order so the value is deterministic. The code cache treats
-    /// any change of this fingerprint as a full invalidation event.
+    /// and `max_inline_size`, the one settable inlining limit. Hash-map
+    /// contents are folded in sorted order so the value is deterministic.
+    /// The code cache treats any change of this fingerprint as a full
+    /// invalidation event.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         let sorted = |set: &HashSet<FieldId>| {
@@ -199,9 +194,7 @@ impl<'a> CompileEnv<'a> {
             }
         }
         h.mix_u64(7);
-        h.mix_u64(self.enable_inlining as u64);
         h.mix_u64(self.max_inline_size as u64);
-        h.mix_u64(self.max_inline_depth as u64);
         h.finish()
     }
 }
@@ -268,7 +261,7 @@ pub fn compile_in(
         }
     }
 
-    if level >= 1 && env.enable_inlining {
+    if level >= 1 {
         inline_pass(
             &mut f,
             program,
@@ -277,7 +270,6 @@ pub fn compile_in(
             env.unique_impl,
             mid,
             env.max_inline_size,
-            env.max_inline_depth,
             guarded_fields.as_ref(),
         );
     }
@@ -450,6 +442,10 @@ struct Candidate {
     olc: Option<Bindings>,
 }
 
+/// Inlining rounds (call-chain depth) per compile: the value every figure
+/// and golden has been measured with; no workload or sweep varies it.
+const MAX_INLINE_DEPTH: usize = 2;
+
 #[allow(clippy::too_many_arguments)]
 fn inline_pass(
     f: &mut Function,
@@ -459,11 +455,10 @@ fn inline_pass(
     unique_impl: &HashMap<dchm_bytecode::SelectorId, MethodId>,
     mid: MethodId,
     max_size: usize,
-    max_depth: usize,
     guarded_fields: Option<&HashSet<FieldId>>,
 ) {
     let mut budget = 12usize;
-    for _round in 0..max_depth {
+    for _round in 0..MAX_INLINE_DEPTH {
         let mut progressed = false;
         // Re-scan after every splice: indices shift.
         while budget > 0 {

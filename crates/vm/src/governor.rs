@@ -20,43 +20,37 @@
 
 use std::collections::HashMap;
 
-/// Thresholds and backoff parameters of the [`Governor`]. Lives in
-/// [`crate::state::VmConfig`]; the governor itself holds no copy, so the
-/// config can be toggled after VM construction (A/B benches flip `enabled`).
+// The paper has no governor: the thresholds below are the values it shipped
+// with, and every governed figure and test was measured at them.
+/// Sliding-window length in modeled cycles for storm detection.
+pub const STORM_WINDOW: u64 = 200_000;
+/// Guard failures of one (method, state) site within the window that start
+/// a throttle episode.
+pub const THROTTLE_THRESHOLD: u32 = 8;
+/// Lifetime guard failures past which the *next storm* blacklists the
+/// special permanently (a slow drip below the throttle rate never
+/// blacklists, no matter how long it runs).
+pub const BLACKLIST_THRESHOLD: u64 = 32;
+/// First-episode backoff in modeled cycles; episode `n` backs off
+/// `BACKOFF_BASE << min(n-1, BACKOFF_MAX_EXP)`.
+pub const BACKOFF_BASE: u64 = 100_000;
+/// Cap on the backoff exponent (prevents shift overflow and absurd waits).
+pub const BACKOFF_MAX_EXP: u32 = 10;
+/// Compile failures of one (method, level) pair that quarantine it.
+pub const QUARANTINE_THRESHOLD: u32 = 3;
+
+/// The [`Governor`]'s switch. Lives in [`crate::state::VmConfig`]; the
+/// governor itself holds no copy, so it can be toggled after VM
+/// construction (the benchmark's `deopt_storm` runs both halves).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GovernorConfig {
     /// Master switch. Off: every query permits, nothing is recorded.
     pub enabled: bool,
-    /// Sliding-window length in modeled cycles for storm detection.
-    pub storm_window: u64,
-    /// Guard failures of one (method, state) site within the window that
-    /// start a throttle episode.
-    pub throttle_threshold: u32,
-    /// Lifetime guard failures past which the *next storm* blacklists the
-    /// special permanently (a slow drip below the throttle rate never
-    /// blacklists, no matter how long it runs).
-    pub blacklist_threshold: u64,
-    /// First-episode backoff in modeled cycles; episode `n` backs off
-    /// `backoff_base << min(n-1, backoff_max_exp)`.
-    pub backoff_base: u64,
-    /// Cap on the backoff exponent (prevents shift overflow and absurd
-    /// waits).
-    pub backoff_max_exp: u32,
-    /// Compile failures of one (method, level) pair that quarantine it.
-    pub quarantine_threshold: u32,
 }
 
 impl Default for GovernorConfig {
     fn default() -> Self {
-        GovernorConfig {
-            enabled: true,
-            storm_window: 200_000,
-            throttle_threshold: 8,
-            blacklist_threshold: 32,
-            backoff_base: 100_000,
-            backoff_max_exp: 10,
-            quarantine_threshold: 3,
-        }
+        GovernorConfig { enabled: true }
     }
 }
 
@@ -138,7 +132,7 @@ impl Governor {
         if s.blacklisted {
             return GuardFailVerdict::None;
         }
-        if clock.saturating_sub(s.window_start) > cfg.storm_window {
+        if clock.saturating_sub(s.window_start) > STORM_WINDOW {
             s.window_start = clock;
             s.fails_in_window = 0;
         }
@@ -147,18 +141,18 @@ impl Governor {
         if clock < s.throttled_until {
             return GuardFailVerdict::None;
         }
-        if s.fails_in_window >= cfg.throttle_threshold {
+        if s.fails_in_window >= THROTTLE_THRESHOLD {
             // Blacklist replaces the throttle that would start once the
             // site's lifetime budget is spent: it requires an *active*
             // storm, so slow drips below the throttle rate only ever
             // accumulate bookkeeping, never a ban.
-            if s.total_fails >= cfg.blacklist_threshold {
+            if s.total_fails >= BLACKLIST_THRESHOLD {
                 s.blacklisted = true;
                 return GuardFailVerdict::Blacklist { total_fails: s.total_fails };
             }
             s.episodes += 1;
-            let exp = (s.episodes - 1).min(cfg.backoff_max_exp);
-            s.throttled_until = clock + (cfg.backoff_base << exp);
+            let exp = (s.episodes - 1).min(BACKOFF_MAX_EXP);
+            s.throttled_until = clock + (BACKOFF_BASE << exp);
             s.fails_in_window = 0;
             s.window_start = clock;
             return GuardFailVerdict::Throttle {
@@ -203,10 +197,10 @@ impl Governor {
         let q = self.quarantine.entry((method, level)).or_default();
         q.fails_in_episode += 1;
         q.total_fails += 1;
-        if q.fails_in_episode >= cfg.quarantine_threshold {
+        if q.fails_in_episode >= QUARANTINE_THRESHOLD {
             q.episodes += 1;
-            let exp = (q.episodes - 1).min(cfg.backoff_max_exp);
-            q.until = clock + (cfg.backoff_base << exp);
+            let exp = (q.episodes - 1).min(BACKOFF_MAX_EXP);
+            q.until = clock + (BACKOFF_BASE << exp);
             q.fails_in_episode = 0;
             return Some((q.total_fails, q.until));
         }
@@ -236,15 +230,11 @@ impl Governor {
 mod tests {
     use super::*;
 
-    fn cfg() -> GovernorConfig {
-        GovernorConfig::default()
-    }
-
     #[test]
     fn below_threshold_is_bookkeeping_only() {
         let mut g = Governor::default();
-        let c = cfg();
-        for i in 0..(c.throttle_threshold - 1) as u64 {
+        let c = GovernorConfig::default();
+        for i in 0..(THROTTLE_THRESHOLD - 1) as u64 {
             assert_eq!(g.on_guard_fail(&c, 1, 7, i), GuardFailVerdict::None);
         }
         assert!(g.special_allowed(&c, 1, 7, 100));
@@ -253,14 +243,14 @@ mod tests {
     #[test]
     fn storm_throttles_then_backoff_doubles_then_blacklists() {
         let mut g = Governor::default();
-        let c = cfg();
+        let c = GovernorConfig::default();
         let mut clock = 0u64;
         let mut untils = Vec::new();
         let mut blacklisted_at = None;
         // Feed failures in tight bursts, skipping past each backoff.
         for _episode in 0..10 {
             let mut done = false;
-            for _ in 0..c.throttle_threshold {
+            for _ in 0..THROTTLE_THRESHOLD {
                 clock += 1;
                 match g.on_guard_fail(&c, 1, 7, clock) {
                     GuardFailVerdict::None => {}
@@ -283,11 +273,11 @@ mod tests {
         }
         // 3 throttle episodes (8, 16, 24 fails) then blacklist at 32.
         assert_eq!(untils, vec![
-            c.backoff_base,
-            c.backoff_base << 1,
-            c.backoff_base << 2
+            BACKOFF_BASE,
+            BACKOFF_BASE << 1,
+            BACKOFF_BASE << 2
         ]);
-        assert_eq!(blacklisted_at, Some(c.blacklist_threshold));
+        assert_eq!(blacklisted_at, Some(BLACKLIST_THRESHOLD));
         assert!(!g.special_allowed(&c, 1, 7, u64::MAX));
         // Other sites are unaffected.
         assert!(g.special_allowed(&c, 1, 8, 0));
@@ -297,10 +287,10 @@ mod tests {
     #[test]
     fn slow_drip_outside_window_never_throttles() {
         let mut g = Governor::default();
-        let c = cfg();
+        let c = GovernorConfig::default();
         let mut clock = 0;
         for _ in 0..100 {
-            clock += c.storm_window + 1;
+            clock += STORM_WINDOW + 1;
             assert_eq!(g.on_guard_fail(&c, 1, 7, clock), GuardFailVerdict::None);
         }
         assert!(g.special_allowed(&c, 1, 7, clock));
@@ -309,16 +299,16 @@ mod tests {
     #[test]
     fn fails_inside_backoff_do_not_restart_episode() {
         let mut g = Governor::default();
-        let c = cfg();
-        for i in 0..c.throttle_threshold as u64 {
+        let c = GovernorConfig::default();
+        for i in 0..THROTTLE_THRESHOLD as u64 {
             let v = g.on_guard_fail(&c, 1, 7, i);
-            if i == (c.throttle_threshold - 1) as u64 {
+            if i == (THROTTLE_THRESHOLD - 1) as u64 {
                 assert!(matches!(v, GuardFailVerdict::Throttle { episode: 1, .. }));
             }
         }
         // Residual frames still in special code keep failing during the
         // backoff; they must not start episode 2.
-        for i in 0..(c.throttle_threshold * 2) as u64 {
+        for i in 0..(THROTTLE_THRESHOLD * 2) as u64 {
             assert_eq!(
                 g.on_guard_fail(&c, 1, 7, 100 + i),
                 GuardFailVerdict::None
@@ -329,7 +319,7 @@ mod tests {
     #[test]
     fn disabled_governor_is_inert() {
         let mut g = Governor::default();
-        let c = GovernorConfig { enabled: false, ..cfg() };
+        let c = GovernorConfig { enabled: false };
         for i in 0..1000 {
             assert_eq!(g.on_guard_fail(&c, 1, 7, i), GuardFailVerdict::None);
             assert!(g.on_compile_failure(&c, 1, 2, i).is_none());
@@ -341,13 +331,13 @@ mod tests {
     #[test]
     fn quarantine_after_n_fails_with_backoff_retry() {
         let mut g = Governor::default();
-        let c = cfg();
+        let c = GovernorConfig::default();
         assert!(g.compile_allowed(&c, 3, 2, 0));
         assert!(g.on_compile_failure(&c, 3, 2, 10).is_none());
         assert!(g.on_compile_failure(&c, 3, 2, 20).is_none());
         let (fails, until) = g.on_compile_failure(&c, 3, 2, 30).expect("3rd fail quarantines");
         assert_eq!(fails, 3);
-        assert_eq!(until, 30 + c.backoff_base);
+        assert_eq!(until, 30 + BACKOFF_BASE);
         assert!(!g.compile_allowed(&c, 3, 2, 31));
         assert!(g.compile_allowed(&c, 3, 2, until));
         // Other levels and methods unaffected.
@@ -359,6 +349,6 @@ mod tests {
         g.on_compile_failure(&c, 3, 2, t + 1);
         let (fails2, until2) = g.on_compile_failure(&c, 3, 2, t + 2).expect("quarantines again");
         assert_eq!(fails2, 6);
-        assert_eq!(until2, t + 2 + (c.backoff_base << 1));
+        assert_eq!(until2, t + 2 + (BACKOFF_BASE << 1));
     }
 }

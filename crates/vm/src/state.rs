@@ -76,8 +76,8 @@ pub struct CompiledMethod {
     /// `Rc`): the allocation may be shared with other tenant VMs through
     /// the fleet's [`SharedCodeCache`].
     pub func: Arc<Function>,
-    /// The executable form (see [`crate::linear`]); its interface call
-    /// sites size this method's row of IMT-search caches.
+    /// The executable form (see [`crate::linear`]): what the evaluator
+    /// runs.
     pub lin: Arc<LinearCode>,
     /// Modeled machine-code size in bytes.
     pub size_bytes: usize,
@@ -111,12 +111,8 @@ pub struct VmConfig {
     pub opt2_samples: u64,
     /// Cycles between adaptive-system samples.
     pub sample_period: u64,
-    /// Enable the inliner at opt1+.
-    pub enable_inlining: bool,
-    /// Maximum callee IR size (ops) eligible for inlining.
+    /// Maximum callee IR size (ops) eligible for inlining at opt1+.
     pub max_inline_size: usize,
-    /// Maximum inlining rounds (call-chain depth).
-    pub max_inline_depth: usize,
     /// Abort after this many executed ops (`None` = unlimited). A test
     /// guard, not a semantic limit.
     pub fuel: Option<u64>,
@@ -131,9 +127,9 @@ pub struct VmConfig {
     /// observables are the same at any capacity; only host-side compile
     /// wall time changes.
     pub code_cache_capacity: usize,
-    /// Resilience-governor thresholds (deopt-storm throttling, compile
-    /// quarantine). Read per decision, so it can be toggled after VM
-    /// construction.
+    /// Resilience-governor switch (deopt-storm throttling, compile
+    /// quarantine; the thresholds are constants in [`crate::governor`]).
+    /// Read per decision, so it can be toggled after VM construction.
     pub governor: GovernorConfig,
     /// Maximum activation-stack depth; a call that would exceed it traps
     /// with [`RunError::StackOverflow`]. `None` disables the check. The
@@ -156,9 +152,7 @@ impl Default for VmConfig {
             opt1_samples: 3,
             opt2_samples: 8,
             sample_period: 120_000,
-            enable_inlining: true,
             max_inline_size: 36,
-            max_inline_depth: 2,
             fuel: None,
             accelerated_methods: HashSet::new(),
             code_cache_capacity: 1024,
@@ -781,9 +775,7 @@ impl VmState {
             patch_spec,
             hints,
             unique_impl,
-            enable_inlining: config.enable_inlining,
             max_inline_size: config.max_inline_size,
-            max_inline_depth: config.max_inline_depth,
         };
         lift_cache.get_or_lift(mid.0, env_fp, || compiler::lift_baseline(&env, mid))
     }

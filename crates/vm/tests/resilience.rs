@@ -23,32 +23,29 @@ use dchm_testutil::{
     storm_config, storm_salarydb, Obs,
 };
 use dchm_trace::TraceEvent;
-use dchm_vm::{FaultConfig, FaultInjector, GovernorConfig, RunError, Vm, VmConfig};
+use dchm_vm::governor::{BACKOFF_BASE, BACKOFF_MAX_EXP};
+use dchm_vm::{FaultConfig, FaultInjector, RunError, Vm, VmConfig};
 use dchm_workloads::{catalog, Scale};
 
-/// Governor tuned so a ~1k-call storm walks the full escalation ladder
-/// (throttle → doubled backoffs → blacklist) inside one small test run.
-/// Production defaults use the same shape with larger constants.
-fn test_governor() -> GovernorConfig {
-    GovernorConfig {
-        storm_window: 50_000,
-        throttle_threshold: 8,
-        blacklist_threshold: 32,
-        backoff_base: 1_000,
-        backoff_max_exp: 4,
-        ..Default::default()
-    }
+/// Highest throttle episode of a traced run (0 when nothing throttled).
+fn max_episode(vm: &Vm) -> u32 {
+    let episodes = vm.state.tracer.events().into_iter().filter_map(|e| match e.event {
+        TraceEvent::SpecialThrottled { episode, .. } => Some(episode),
+        _ => None,
+    });
+    episodes.max().unwrap_or(0)
 }
 
 /// One storm run: specials exist from the first compile (the plan's
-/// `mutation_level` is 0), every guard is forced to fail (period 1).
+/// `mutation_level` is 0), every guard is forced to fail (period 1). At 24
+/// employees × 400 raises the shipped thresholds walk the full escalation
+/// ladder (throttle → doubled backoffs → blacklist).
 fn run_storm(seed: u64, governor_on: bool, trace: bool) -> Vm {
-    let (p, plan) = storm_salarydb(24, 40);
+    let (p, plan) = storm_salarydb(24, 400);
     let mut vm = attach_plan(&p, plan, VmConfig::default());
     if trace {
         vm.enable_tracing(1 << 16);
     }
-    vm.state.config.governor = test_governor();
     vm.state.config.governor.enabled = governor_on;
     vm.state.injector = Some(FaultInjector::new(FaultConfig {
         period: 1,
@@ -154,12 +151,10 @@ fn storm_decisions_bit_identical_across_runs() {
 #[test]
 fn backoff_schedule_is_exponential_and_monotone() {
     let vm = run_storm(1, true, true);
-    let cfg = test_governor();
     let mut episodes_seen = 0u32;
-    let mut max_episode = 0u32;
     for ev in vm.state.tracer.events() {
         if let TraceEvent::SpecialThrottled { episode, until_cycle, .. } = ev.event {
-            let want = cfg.backoff_base << (episode - 1).min(cfg.backoff_max_exp);
+            let want = BACKOFF_BASE << (episode - 1).min(BACKOFF_MAX_EXP);
             assert_eq!(
                 until_cycle - ev.cycle,
                 want,
@@ -167,11 +162,10 @@ fn backoff_schedule_is_exponential_and_monotone() {
                 until_cycle - ev.cycle
             );
             episodes_seen += 1;
-            max_episode = max_episode.max(episode);
         }
     }
     assert!(episodes_seen >= 2, "storm produced {episodes_seen} throttle events");
-    assert!(max_episode >= 2, "backoff never escalated past episode 1");
+    assert!(max_episode(&vm) >= 2, "backoff never escalated past episode 1");
 }
 
 /// Once the last special is blacklisted the storm is over for good: no
@@ -430,9 +424,9 @@ fn zero_frame_budget_refuses_entry() {
     ));
 }
 
-/// SalaryDB from the real catalog survives a forced-guard-fail storm with
-/// the *default production* governor config too — fewer escalations at
-/// this scale, but output stays equal and throttling engages.
+/// SalaryDB from the real catalog survives a forced-guard-fail storm too —
+/// fewer escalations than the storm program, but output stays equal and
+/// throttling engages.
 #[test]
 fn catalog_salarydb_storm_is_damped_with_default_config() {
     let w = find_workload("SalaryDB");
@@ -461,13 +455,14 @@ mod properties {
     use dchm_fuzz::gen::Rng;
 
     /// Re-runs one storm schedule twice and returns (fingerprint, governor
-    /// stats) of the first, asserting the second is bit-identical.
-    fn storm_twice(employees: i64, iters: i64, seed: u64) -> (Obs, u64, u64) {
+    /// stats, highest episode) of the first, asserting the second is
+    /// bit-identical.
+    fn storm_twice(employees: i64, iters: i64, seed: u64) -> (Obs, u64, u64, u32) {
         let mut out = None;
         for _ in 0..2 {
             let (p, plan) = storm_salarydb(employees, iters);
             let mut vm = attach_plan(&p, plan, VmConfig::default());
-            vm.state.config.governor = test_governor();
+            vm.enable_tracing(1 << 16);
             vm.state.injector = Some(FaultInjector::new(FaultConfig {
                 period: 1,
                 ..FaultConfig::guard_failures(seed)
@@ -477,6 +472,7 @@ mod properties {
                 observe(&vm),
                 vm.stats().specials_throttled,
                 vm.stats().specials_blacklisted,
+                max_episode(&vm),
             );
             match &out {
                 None => out = Some(got),
@@ -487,13 +483,13 @@ mod properties {
     }
 
     /// Any storm schedule (any shape, any seed) is deterministic, and the
-    /// governed run never changes output relative to ungoverned.
-    fn check_random_schedule(employees: i64, iters: i64, seed: u64) {
-        let (gov, _, _) = storm_twice(employees, iters, seed);
+    /// governed run never changes output relative to ungoverned. Returns
+    /// the governed run's highest episode and blacklist count.
+    fn check_random_schedule(employees: i64, iters: i64, seed: u64) -> (u32, u64) {
+        let (gov, _, blacklisted, episode) = storm_twice(employees, iters, seed);
 
         let (p, plan) = storm_salarydb(employees, iters);
         let mut vm = attach_plan(&p, plan, VmConfig::default());
-        vm.state.config.governor = test_governor();
         vm.state.config.governor.enabled = false;
         vm.state.injector = Some(FaultInjector::new(FaultConfig {
             period: 1,
@@ -503,16 +499,17 @@ mod properties {
         assert_eq!(vm.state.output.text, gov.text);
         assert_eq!(vm.state.output.checksum, gov.checksum);
         assert!(vm.cycles() >= gov.clock, "governor made the storm slower");
+        (episode, blacklisted)
     }
 
     /// Backoff deadlines never regress: per run, every throttle event's
     /// `until_cycle` is past its own fire cycle, and fire cycles only move
-    /// forward (episodes escalate with the modeled clock).
-    fn check_monotone_deadlines(seed: u64) {
-        let (p, plan) = storm_salarydb(16, 32);
+    /// forward (episodes escalate with the modeled clock). Returns the
+    /// run's highest episode.
+    fn check_monotone_deadlines(seed: u64) -> u32 {
+        let (p, plan) = storm_salarydb(16, 64);
         let mut vm = attach_plan(&p, plan, VmConfig::default());
         vm.enable_tracing(1 << 16);
-        vm.state.config.governor = test_governor();
         vm.state.injector = Some(FaultInjector::new(FaultConfig {
             period: 1,
             ..FaultConfig::guard_failures(seed)
@@ -529,23 +526,33 @@ mod properties {
                 last_cycle = ev.cycle;
             }
         }
+        max_episode(&vm)
     }
 
+    /// Storms of 16–32 employees × 128–512 raises: large enough that the
+    /// shipped thresholds escalate past episode 1, and some blacklist.
     #[test]
     fn random_storm_schedules_are_deterministic() {
+        let (mut top_episode, mut blacklists) = (0, 0);
         for case in 0..16 {
             let mut rng = Rng::new(case);
-            let employees = 4 + rng.below(20) as i64;
-            let iters = 4 + rng.below(28) as i64;
+            let employees = 16 + rng.below(17) as i64;
+            let iters = 128 + rng.below(385) as i64;
             let seed = 1 + rng.below(1023);
-            check_random_schedule(employees, iters, seed);
+            let (episode, blacklisted) = check_random_schedule(employees, iters, seed);
+            top_episode = top_episode.max(episode);
+            blacklists += blacklisted;
         }
+        assert!(top_episode >= 2, "no storm escalated past episode {top_episode}");
+        assert!(blacklists >= 1, "no storm blacklisted a special");
     }
 
     #[test]
     fn backoff_deadlines_are_monotone() {
-        for case in 0..16 {
-            check_monotone_deadlines(1 + Rng::new(case).below(255));
-        }
+        let top_episode = (0..16)
+            .map(|case| check_monotone_deadlines(1 + Rng::new(case).below(255)))
+            .max()
+            .unwrap();
+        assert!(top_episode >= 2, "no storm escalated past episode {top_episode}");
     }
 }
