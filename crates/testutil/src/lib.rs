@@ -60,6 +60,61 @@ pub fn observe(vm: &Vm) -> Obs {
     }
 }
 
+/// Condensed cost-model observables of one finished run, pinned by the
+/// golden table of `tests/determinism.rs` (`examples/golden_cycles.rs`
+/// regenerates it when the cost model changes on purpose): any host-side
+/// change to the evaluator must leave them bit-identical.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fingerprint {
+    /// Final modeled clock (exec + compile + GC cycles).
+    pub clock: u64,
+    /// Total ops executed by the evaluator.
+    pub ops_executed: u64,
+    /// FNV-1a over every method's `(index, invocations, cycles)` triple.
+    pub per_method_hash: u64,
+}
+
+/// Fingerprints a finished VM.
+pub fn fingerprint(vm: &Vm) -> Fingerprint {
+    let stats = vm.stats();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (i, m) in stats.per_method.iter().enumerate() {
+        mix(i as u64);
+        mix(m.invocations);
+        mix(m.cycles);
+    }
+    Fingerprint {
+        clock: vm.cycles(),
+        ops_executed: stats.ops_executed,
+        per_method_hash: h,
+    }
+}
+
+/// Fingerprints all seven workloads at `Scale::Small` under
+/// [`harness_config`], mutation off and on (the [`prepare_workload`]
+/// plan), labeled `"<name>/base"` and `"<name>/mutated"` in catalog order.
+///
+/// # Panics
+/// Panics if a run traps.
+pub fn fingerprint_all() -> Vec<(String, Fingerprint)> {
+    let mut rows = Vec::new();
+    for w in catalog(Scale::Small) {
+        let mut vm = Vm::new(w.program.clone(), harness_config(&w));
+        w.run(&mut vm).expect("baseline run must not trap");
+        rows.push((format!("{}/base", w.name), fingerprint(&vm)));
+        let mut vm = prepare_workload(&w).make_vm(harness_config(&w));
+        w.run(&mut vm).expect("mutated run must not trap");
+        rows.push((format!("{}/mutated", w.name), fingerprint(&vm)));
+    }
+    rows
+}
+
 /// The determinism-harness VM cadence: sampling fast enough that
 /// small-scale workloads reach opt2 early, like the paper's warm-up.
 pub fn harness_config(w: &Workload) -> VmConfig {

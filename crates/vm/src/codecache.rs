@@ -260,10 +260,8 @@ impl CodeCache {
 /// bit-identical whether its compile was answered here or run locally.
 #[derive(Clone, Debug)]
 pub struct SharedArtifact {
-    /// The compiled function body.
-    pub func: std::sync::Arc<dchm_ir::Function>,
-    /// The executable form lowered from `func` — once per artifact, not
-    /// once per adopting tenant.
+    /// The executable form, deopt resume entries included — lowered once
+    /// per artifact, not once per adopting tenant.
     pub lin: std::sync::Arc<crate::linear::LinearCode>,
     /// Modeled machine-code size in bytes.
     pub size_bytes: usize,
@@ -533,15 +531,14 @@ mod tests {
     use std::sync::Arc;
 
     fn artifact(cycles: u64) -> SharedArtifact {
-        let func = Arc::new(dchm_ir::Function {
+        let func = dchm_ir::Function {
             blocks: vec![],
             num_regs: 0,
             arg_count: 0,
-        });
+        };
         let program = dchm_bytecode::ProgramBuilder::new().finish().unwrap();
         let lin = Arc::new(crate::linear::lower(&func, &program, &[]));
         SharedArtifact {
-            func,
             lin,
             size_bytes: 16,
             compile_cycles: cycles,
@@ -586,7 +583,7 @@ mod tests {
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(adopted.compile_cycles, 500);
         assert!(adopted.lin.calls.is_empty());
-        assert!(Arc::strong_count(&adopted.func) >= 1);
+        assert!(Arc::strong_count(&adopted.lin) >= 1);
     }
 
     #[test]

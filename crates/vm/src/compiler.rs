@@ -106,8 +106,7 @@ impl Fnv {
 }
 
 /// Everything the optimizing compiler reads from the VM, borrowed into one
-/// bundle, so a compile can read it while the VM's lift cache is mutated
-/// (see `VmState::baseline_for`).
+/// bundle.
 #[derive(Clone, Copy)]
 pub struct CompileEnv<'a> {
     /// The program being compiled.
@@ -203,15 +202,15 @@ impl<'a> CompileEnv<'a> {
 /// compile of the method starts from, and the unit the VM's lift cache
 /// memoizes (one lift shared by the general version and all of its state
 /// specializations).
-pub fn lift_baseline(env: &CompileEnv<'_>, mid: MethodId) -> Function {
-    let md = env.program.method(mid);
+pub fn lift_baseline(program: &Program, spec: &PatchSpec, mid: MethodId) -> Function {
+    let md = program.method(mid);
     debug_assert!(
         md.kind != MethodKind::Abstract,
         "cannot compile abstract method {}",
         md.name
     );
     let mut f = lift(&md.code, md.num_regs, md.arg_count() as u16);
-    instrument(&mut f, env.program, env.patch_spec, mid);
+    instrument(&mut f, program, spec, mid);
     f
 }
 
@@ -224,7 +223,7 @@ pub fn compile(
     bindings: Option<&Bindings>,
 ) -> CompileOutcome {
     let env = CompileEnv::of(state);
-    let baseline = lift_baseline(&env, mid);
+    let baseline = lift_baseline(env.program, env.patch_spec, mid);
     compile_in(&env, &baseline, mid, level, bindings)
 }
 
@@ -387,6 +386,28 @@ fn insert_guards(f: &mut Function, b: &Bindings, has_receiver: bool, arg_count: 
         },
     );
     table
+}
+
+/// The points of an instrumented baseline function where a deoptimizing
+/// frame can resume besides its entry `(0, 0)`: right after each
+/// `NotifyInstStore`/`NotifyStaticStore` op, in code order.
+///
+/// These cover every post-store point [`insert_guards`] records, because
+/// every field a state binding names is a patch field:
+/// `MutationEngine::install` puts each state field into the [`PatchSpec`],
+/// and [`instrument`] follows each patched store with its notify, which
+/// `insert_guards` keeps ahead of the guard. A change to either side must
+/// keep that so.
+pub(crate) fn resume_points(f: &Function) -> Vec<DeoptPoint> {
+    let mut points = Vec::new();
+    for (bi, block) in f.blocks.iter().enumerate() {
+        for (i, op) in block.ops.iter().enumerate() {
+            if matches!(op, Op::NotifyInstStore { .. } | Op::NotifyStaticStore { .. }) {
+                points.push(DeoptPoint { block: bi as u32, op: i as u32 + 1 });
+            }
+        }
+    }
+    points
 }
 
 /// Inserts `Notify*` patch ops after state-field stores and before

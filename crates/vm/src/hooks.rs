@@ -313,11 +313,6 @@ pub trait VmObserver {
 
     /// A static field in the watch set was stored.
     fn on_static_store(&mut self, field: FieldId, value: Value);
-
-    /// The adaptive system took a method sample (timer tick).
-    fn on_sample(&mut self, method: MethodId) {
-        let _ = method;
-    }
 }
 
 #[cfg(test)]

@@ -239,10 +239,8 @@ impl Vm {
         'frames: while let Some(&Frame { method, cid, base, pc, .. }) = self.state.frames.last() {
             let mut pc = pc as usize;
             let code = &self.state.code;
-            if !lins.get(cid.index()).is_some_and(|l| Arc::ptr_eq(l, &code[cid.index()].lin)) {
-                // New code was installed, or this body was re-lowered with
-                // a deopt resume entry.
-                lins.truncate(cid.index());
+            if cid.index() >= lins.len() {
+                // New code was installed; installed code never changes.
                 lins.extend(code[lins.len()..].iter().map(|c| Arc::clone(&c.lin)));
             }
             let lin: &LinearCode = &lins[cid.index()];
@@ -755,7 +753,9 @@ impl Vm {
             .copied()
             .ok_or_else(|| invariant(format!("guard #{guard} has no deopt side-table entry")))?;
         let bcid = self.state.ensure_baseline(mid);
-        let pc = self.state.resume_pc(bcid, point);
+        let pc = self.state.resume_pc(bcid, point).ok_or_else(|| {
+            invariant(format!("baseline code has no resume entry for deopt point {point:?}"))
+        })?;
         let bregs = self.state.code[bcid.index()].lin.num_regs as usize;
         // The live prefix carries over positionally (guards pin those
         // registers: every pass keeps the prefix stable); everything past
@@ -845,9 +845,6 @@ impl Vm {
         if st.tracer.on() {
             let count = st.stats.per_method[method.index()].samples;
             st.tracer.emit(st.clock, TraceEvent::Sample { method: method.0, count });
-        }
-        if let Some(obs) = &mut self.observer {
-            obs.on_sample(method);
         }
         let samples = st.stats.per_method[method.index()].samples;
         let cur = st.level_of(method).unwrap_or(0);

@@ -188,7 +188,9 @@ pub struct LinearCode {
     /// Deopt resume entries `(source point, pc)` besides the method entry
     /// (pc 0): each is a copy of its block's tail appended after the main
     /// body, so a frame resuming mid-block still enters at the first
-    /// instruction of a segment.
+    /// instruction of a segment. Level-0 general code is lowered with one
+    /// per `compiler::resume_points` entry when it is compiled; all other
+    /// code has none.
     pub resume: Vec<(DeoptPoint, u32)>,
 }
 
@@ -217,8 +219,8 @@ pub fn lower(func: &Function, program: &Program, resume: &[DeoptPoint]) -> Linea
         total += b.ops.len() + 1;
         sites += calls_in(&b.ops);
     }
-    // The main body, then one block tail per resume point (the rare
-    // re-lowering that has any lets the vectors grow past `total`).
+    // The main body, then one block tail per resume point (only baseline
+    // code has any, so the vectors are sized for the main body).
     let main = (0..func.blocks.len()).map(|b| (b, 0));
     let tails = resume.iter().map(|p| (p.block as usize, p.op as usize));
     let mut insts = Vec::with_capacity(total);

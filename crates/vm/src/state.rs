@@ -71,13 +71,11 @@ pub struct CompiledMethod {
     pub level: u8,
     /// True for state-specialized (mutation) versions.
     pub special: bool,
-    /// The optimizer's output, kept cold for inspection and for re-lowering
-    /// with deopt resume entries; the evaluator never reads it. `Arc` (not
+    /// The executable form (see [`crate::linear`]): what the evaluator
+    /// runs. Lowered once when the artifact is compiled, deopt resume
+    /// entries included, and never changed after install. `Arc` (not
     /// `Rc`): the allocation may be shared with other tenant VMs through
     /// the fleet's [`SharedCodeCache`].
-    pub func: Arc<Function>,
-    /// The executable form (see [`crate::linear`]): what the evaluator
-    /// runs.
     pub lin: Arc<LinearCode>,
     /// Modeled machine-code size in bytes.
     pub size_bytes: usize,
@@ -741,9 +739,14 @@ impl VmState {
         self.compile_wall_nanos += t0.elapsed().as_nanos() as u64;
         // Lowering stays outside the wall timer, exactly as the pre-fleet
         // `push_code` derived its metadata after the timed pipeline returned.
+        // Level-0 general code is what a deoptimizing frame resumes in, so
+        // it carries an entry for every point a guard can name.
+        let resume = match (level, bindings) {
+            (0, None) => compiler::resume_points(&outcome.func),
+            _ => Vec::new(),
+        };
         let a = SharedArtifact {
-            lin: Arc::new(lower(&outcome.func, &self.program, &[])),
-            func: Arc::new(outcome.func),
+            lin: Arc::new(lower(&outcome.func, &self.program, &resume)),
             size_bytes: outcome.size_bytes,
             compile_cycles: outcome.compile_cycles,
             deopt: outcome.deopt.map(Arc::new),
@@ -759,25 +762,8 @@ impl VmState {
     /// environment, whether the request is general or special. Fleet
     /// tenants share finished artifacts, not lifts.
     fn baseline_for(&mut self, mid: MethodId, env_fp: u64) -> Arc<Function> {
-        // Split borrows: the lift cache is mutated while the compile
-        // environment borrows the rest of the state.
-        let VmState {
-            ref program,
-            ref patch_spec,
-            ref hints,
-            ref unique_impl,
-            ref config,
-            ref mut lift_cache,
-            ..
-        } = *self;
-        let env = compiler::CompileEnv {
-            program,
-            patch_spec,
-            hints,
-            unique_impl,
-            max_inline_size: config.max_inline_size,
-        };
-        lift_cache.get_or_lift(mid.0, env_fp, || compiler::lift_baseline(&env, mid))
+        let (program, spec) = (&self.program, &self.patch_spec);
+        self.lift_cache.get_or_lift(mid.0, env_fp, || compiler::lift_baseline(program, spec, mid))
     }
 
     /// Appends a compiled artifact to the code store. No billing, no trace.
@@ -798,7 +784,6 @@ impl VmState {
             method: mid,
             level,
             special,
-            func: a.func,
             lin: a.lin,
             size_bytes: a.size_bytes,
             binding_fp,
@@ -812,8 +797,10 @@ impl VmState {
     /// `mid` resumes in. Level-0 compilation is a pure lift + instrument —
     /// the scalar pipeline runs zero iterations — so its blocks and ops are
     /// coordinate-identical to the function guards recorded their resume
-    /// points in. Reuses the current general code when it is already level
-    /// 0; otherwise compiles (and caches) a dedicated baseline version.
+    /// points in, and it was lowered with an entry for each of those points
+    /// when it was compiled. Reuses the current general code when it is
+    /// already level 0; otherwise compiles (and caches) a dedicated
+    /// baseline version.
     /// Either way no recompilation event is queued: deopt must not perturb
     /// the mutation engine's view of the adaptive system.
     pub fn ensure_baseline(&mut self, mid: MethodId) -> CompiledId {
@@ -832,20 +819,15 @@ impl VmState {
     }
 
     /// The pc a frame deoptimizing into baseline code `bcid` at `point`
-    /// resumes at. The first deopt to a mid-block point re-lowers the
-    /// baseline with a resume entry for it; entries are only ever appended,
-    /// so pcs of frames already running the old lowering stay valid.
-    pub(crate) fn resume_pc(&mut self, bcid: CompiledId, point: compiler::DeoptPoint) -> u32 {
+    /// resumes at: 0 for the method entry, else the resume entry the
+    /// baseline was lowered with ([`compiler::resume_points`]). `None` when
+    /// the baseline has no entry for `point`.
+    pub(crate) fn resume_pc(&self, bcid: CompiledId, point: compiler::DeoptPoint) -> Option<u32> {
         if (point.block, point.op) == (0, 0) {
-            return 0;
+            return Some(0);
         }
-        let cm = &mut self.code[bcid.index()];
-        if let Some(r) = cm.lin.resume.iter().find(|r| r.0 == point) {
-            return r.1;
-        }
-        let points: Vec<_> = cm.lin.resume.iter().map(|r| r.0).chain([point]).collect();
-        cm.lin = Arc::new(lower(&cm.func, &self.program, &points));
-        cm.lin.resume.last().expect("just lowered with this entry").1
+        let resume = &self.code[bcid.index()].lin.resume;
+        resume.iter().find(|r| r.0 == point).map(|r| r.1)
     }
 
     /// Installs `cid` as the one valid general compiled method for `mid`:

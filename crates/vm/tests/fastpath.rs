@@ -166,7 +166,6 @@ fn unreachable_terminator_traps_instead_of_panicking() {
         arg_count: 0,
     };
     vm.state.code[cid.index()].lin = Arc::new(lower(&broken, &vm.state.program, &[]));
-    vm.state.code[cid.index()].func = Arc::new(broken);
 
     assert_eq!(vm.run_entry().unwrap_err(), RunError::UnreachableExecuted);
     // Post-mortem state is still consistent: the trapping frame is intact.

@@ -276,7 +276,6 @@ fn install(p: &Program, m: MethodId, body: &Function, cfg: VmConfig) -> Vm {
     let mut vm = Vm::new(p.clone(), cfg);
     let cid = vm.state.ensure_compiled(m);
     vm.state.code[cid.index()].lin = Arc::new(lower(body, p, &[]));
-    vm.state.code[cid.index()].func = Arc::new(body.clone());
     vm
 }
 
@@ -698,13 +697,14 @@ fn mid_block_guard_failure_resumes_at_a_baseline_segment_start() {
     let cm = &vm.state.code[code as usize];
     assert!((cm.level, cm.special) == (0, false));
     // The event carries source coordinates: the op after store + notify.
-    let ops = &cm.func.blocks[block as usize].ops;
+    let func = compile(&vm.state, go, 0, None).func;
+    let ops = &func.blocks[block as usize].ops;
     assert!(matches!(ops[op as usize - 1], Op::NotifyInstStore { .. }));
     assert!(matches!(ops[op as usize], Op::GetField { .. }));
     // The frame resumed at the entry lowered for that point: a copy of the
     // block tail after the main body, starting a segment of its own.
     let lin = &cm.lin;
-    let main_len: usize = cm.func.blocks.iter().map(|b| b.ops.len() + 1).sum();
+    let main_len: usize = func.blocks.iter().map(|b| b.ops.len() + 1).sum();
     assert_eq!(lin.resume, vec![(DeoptPoint { block, op }, main_len as u32)]);
     assert!(matches!(lin.insts[main_len], Inst::GetField { .. }));
     assert!(starts_segment(lin, main_len));

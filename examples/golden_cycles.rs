@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example golden_cycles`
 
-use dchm::determinism::{fingerprint_all, Fingerprint};
+use dchm_testutil::{fingerprint_all, Fingerprint};
 
 fn main() {
     let rows: Vec<(String, Fingerprint)> = fingerprint_all();

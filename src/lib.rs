@@ -18,5 +18,3 @@ pub use dchm_ir as ir;
 pub use dchm_profile as profile;
 pub use dchm_vm as vm;
 pub use dchm_workloads as workloads;
-
-pub mod determinism;

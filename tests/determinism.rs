@@ -8,7 +8,7 @@
 //! `cargo run --release --example golden_cycles` and paste the new table —
 //! but a host-side evaluator change must never need that.
 
-use dchm::determinism::{fingerprint_all, Fingerprint};
+use dchm_testutil::{fingerprint_all, Fingerprint};
 
 const GOLDEN: &[(&str, Fingerprint)] = &[
     (

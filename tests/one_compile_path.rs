@@ -381,7 +381,7 @@ fn consing_and_window(vm: &Vm) -> (f64, u64) {
         if !seen.insert(c.method) {
             continue;
         }
-        let f = lift_baseline(&env, c.method);
+        let f = lift_baseline(env.program, env.patch_spec, c.method);
         let t = Instant::now();
         let bucket = buckets.entry(f.fingerprint()).or_default();
         if !bucket.contains(&f) {

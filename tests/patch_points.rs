@@ -6,11 +6,16 @@
 
 use dchm::bytecode::value::ObjRef;
 use dchm::bytecode::{
-    ClassId, CmpOp, FieldId, MethodId, MethodSig, Program, ProgramBuilder, Ty, Value,
+    ClassId, CmpOp, FieldId, MethodId, MethodKind, MethodSig, Program, ProgramBuilder, Ty, Value,
 };
 use dchm::core::{HotState, MutableClass, MutationEngine, MutationPlan, OlcReport};
+use dchm::vm::compiler::bindings_from;
 use dchm::vm::{FaultConfig, FaultInjector, MutationHandler, TibId, Vm, VmConfig, VmState};
-use dchm_testutil::{attach_plan, storm_config, storm_salarydb};
+use dchm::workloads::{catalog, Scale};
+use dchm_testutil::{
+    acct_plan, acct_program, attach_plan, harness_config, prepare_workload, storm_config,
+    storm_salarydb,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -526,6 +531,63 @@ fn injected_recompiles_keep_a_static_only_class_special() {
     assert_eq!(quiet, ((9321279187403844240, 25281, 3005), 0));
     assert!(injected.1 > 0, "no recompile was injected");
     assert_eq!(injected.0, quiet.0);
+}
+
+/// Compiles, in `vm`, the level-2 special version of every mutable method
+/// of `plan` in every hot state, then checks each point its guards name
+/// against the method's baseline code, with no deopt having happened: the
+/// point is the method entry (pc 0) or has a resume entry in the baseline.
+/// Returns the number of mid-block points checked.
+fn check_resume_entries(what: &str, vm: &mut Vm, plan: &MutationPlan) -> usize {
+    let program = Rc::clone(&vm.state.program);
+    let mut mid_block = 0;
+    for mc in &plan.classes {
+        for &mid in &mc.mutable_methods {
+            let md = program.method(mid);
+            for st in &mc.hot_states {
+                let instance = if md.kind == MethodKind::Static { &[][..] } else { &st.instance_values };
+                let b = bindings_from(instance, &st.static_values);
+                if b.is_empty() {
+                    continue;
+                }
+                let cid = vm.state.compile_special(mid, 2, &b).expect("special compiles");
+                let deopt = vm.state.code[cid.index()].deopt.clone().expect("guarded");
+                let base = vm.state.ensure_baseline(mid);
+                let resume = &vm.state.code[base.index()].lin.resume;
+                for p in deopt.points.iter().filter(|p| (p.block, p.op) != (0, 0)) {
+                    mid_block += 1;
+                    let found = resume.iter().any(|r| r.0 == *p);
+                    assert!(found, "{what}: {} has no resume entry for {p:?}", md.name);
+                }
+            }
+        }
+    }
+    assert_eq!(vm.stats().deopts, 0, "{what}");
+    mid_block
+}
+
+/// A baseline carries a resume entry for every point a guard can name from
+/// the moment it is compiled. The catalog plans' guards are entry guards
+/// only (their mutable methods read state, they do not store it), so the
+/// mid-block points come from the generated programs and `acct_program`.
+#[test]
+fn baselines_are_compiled_with_every_resume_entry() {
+    for w in catalog(Scale::Small) {
+        let prepared = prepare_workload(&w);
+        let mut vm = prepared.make_vm(harness_config(&w));
+        check_resume_entries(w.name, &mut vm, &prepared.plan);
+    }
+    let mut mid_block = 0;
+    for seed in 0..16 {
+        let (p, plan) = dchm_fuzz::compile_spec(&dchm_fuzz::generate(seed)).expect("lowers");
+        let mut vm = attach_plan(&p, plan.clone(), VmConfig::default());
+        mid_block += check_resume_entries(&format!("generated {seed}"), &mut vm, &plan);
+    }
+    let (p, acct, s, _, go) = acct_program();
+    let plan = acct_plan(acct, s, go, true, true);
+    let mut vm = attach_plan(&p, plan.clone(), VmConfig::default());
+    mid_block += check_resume_entries("acct", &mut vm, &plan);
+    assert!(mid_block > 0, "no mid-block deopt point checked");
 }
 
 /// Not a check: prints the host cost of one delivery, fastest of five
